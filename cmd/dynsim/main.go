@@ -161,8 +161,8 @@ type runConfig struct {
 	Perf bool
 	// Runtime selects the execution runtime: "" or "kernel" runs the
 	// in-process radio kernel, "dist" hosts each Program as a
-	// message-passing actor node behind the round coordinator. Results are
-	// byte-identical.
+	// message-passing actor node that the same kernel drives through frame
+	// barriers. Results are byte-identical.
 	Runtime string
 	// DNode, when non-empty, is the path to a dnode binary: the dist
 	// runtime launches one OS process per node (scenario mode only, since

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"dynsens/internal/dist"
 	"dynsens/internal/flight"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio/rounds"
 	"dynsens/internal/timeslot"
 )
 
@@ -89,65 +89,74 @@ func TestDistRuntimeByteIdentical(t *testing.T) {
 }
 
 // TestDistRuntimeNemesisVerifies runs the loss/partition/churn nemesis
-// suite under the distributed runtime and checks that every recording
-// still passes the offline flight verifier: scripted faults must leave a
-// verifiable event trail (partition drops as losses, crashes as node
-// failures), not silent divergence.
+// suite on both runtimes: every recording must pass the offline flight
+// verifier — scripted faults leave a verifiable event trail (partition
+// drops as losses, crashes as node failures), not silent divergence — and
+// the distributed recording must be byte-identical to the kernel's.
 func TestDistRuntimeNemesisVerifies(t *testing.T) {
 	a := buildAssigned(t, 5, 140, timeslot.ConditionStrict)
 	g := a.Net().Graph()
 	nodes := g.Nodes()
 	side := append([]graph.NodeID(nil), nodes[:len(nodes)/3]...)
 	cases := []struct {
-		name    string
-		opts    Options
-		nemesis dist.Nemesis
+		name string
+		opts Options
 	}{
 		{
 			name: "loss",
 			opts: Options{LossRate: 0.3, LossSeed: 5},
 		},
 		{
-			name:    "partition-heals",
-			nemesis: dist.Nemesis{Partitions: []dist.Partition{{From: 3, To: 6, Side: side}}},
+			name: "partition-heals",
+			opts: Options{Partitions: []rounds.Partition{{From: 3, To: 6, Side: side}}},
 		},
 		{
 			name: "churn-crashes",
-			nemesis: dist.Nemesis{Crashes: []dist.Crash{
+			opts: Options{Failures: []NodeFailure{
 				{Node: nodes[len(nodes)/4], Round: 4},
 				{Node: nodes[len(nodes)/2], Round: 7},
 			}},
 		},
 		{
 			name: "all-at-once",
-			opts: Options{LossRate: 0.15, LossSeed: 11},
-			nemesis: dist.Nemesis{
-				Partitions: []dist.Partition{{From: 2, To: 4, Side: side}},
-				Crashes:    []dist.Crash{{Node: nodes[len(nodes)-2], Round: 5}},
+			opts: Options{
+				LossRate: 0.15, LossSeed: 11,
+				Partitions: []rounds.Partition{{From: 2, To: 4, Side: side}},
+				Failures:   []NodeFailure{{Node: nodes[len(nodes)-2], Round: 5}},
 			},
 		},
 	}
+	build := func() (*Plan, *graph.Graph) {
+		plan, err := ICFFPlan(a, 0, 1, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, g
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := tc.opts
-			opts.Runtime = RuntimeDist
-			opts.Nemesis = &tc.nemesis
-			build := func() (*Plan, *graph.Graph) {
-				plan, err := ICFFPlan(a, 0, 1, nil, nil)
+			recordings := make(map[string][]byte)
+			for _, rt := range []string{RuntimeKernel, RuntimeDist} {
+				opts := tc.opts
+				opts.Runtime = rt
+				_, _, recording := runRecorded(t, build, opts, 0)
+				recordings[rt] = recording
+				rec, err := flight.DecodeBytes(recording)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return plan, g
-			}
-			_, _, recording := runRecorded(t, build, opts, 0)
-			rec, err := flight.DecodeBytes(recording)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range flight.Verify(rec).Checks {
-				if c.Err != nil {
-					t.Errorf("flight verifier check %s failed on nemesis recording: %v", c.Name, c.Err)
+				for _, c := range flight.Verify(rec).Checks {
+					if c.Err != nil {
+						t.Errorf("%s: flight verifier check %s failed on nemesis recording: %v", rt, c.Name, c.Err)
+					}
 				}
+				if len(opts.Partitions) > 0 && rec.Footer.Losses == 0 {
+					t.Errorf("%s: the partition swallowed no frame", rt)
+				}
+			}
+			if !bytes.Equal(recordings[RuntimeKernel], recordings[RuntimeDist]) {
+				t.Fatalf("nemesis recordings diverge between runtimes (%d vs %d bytes)",
+					len(recordings[RuntimeKernel]), len(recordings[RuntimeDist]))
 			}
 		})
 	}

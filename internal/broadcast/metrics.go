@@ -8,6 +8,7 @@ import (
 	"dynsens/internal/graph"
 	"dynsens/internal/obs"
 	"dynsens/internal/radio"
+	"dynsens/internal/radio/rounds"
 )
 
 // Runtimes a plan can execute on.
@@ -16,8 +17,9 @@ const (
 	RuntimeKernel = "kernel"
 	// RuntimeDist is the distributed actor runtime (internal/dist): every
 	// program becomes an isolated message-passing node behind a framed
-	// connection, driven round by round by a coordinator. Byte-identical
-	// results and recordings for the same seed and scenario.
+	// connection, driven round by round by the same kernel through frame
+	// barriers. Byte-identical results and recordings for the same seed and
+	// scenario.
 	RuntimeDist = "dist"
 )
 
@@ -80,7 +82,6 @@ type Options struct {
 	// times, round/event throughput. Strictly read-only — results, traces
 	// and recordings are byte-identical with or without it. Safe to share
 	// across concurrent runs; see internal/obs/perf for rendering.
-	// Kernel-runtime only; the distributed runtime ignores it.
 	Perf *radio.Perf
 	// Runtime selects the execution substrate: RuntimeKernel (default) or
 	// RuntimeDist. Both produce byte-identical metrics, traces and
@@ -92,10 +93,10 @@ type Options struct {
 	// Supply a dist.ProcFleet of cmd/dnode children or a dist.TCPFleet for
 	// process or network isolation. RuntimeDist only.
 	Fleet dist.Fleet
-	// Nemesis schedules distributed-runtime fault injection — crashes and
-	// healing partitions — on top of Failures/LinkFailures/LossRate.
-	// RuntimeDist only.
-	Nemesis *dist.Nemesis
+	// Partitions silence the links across a node-set cut for a round
+	// window, then heal (radio.Engine.SetPartitions); each swallowed frame
+	// is recorded as a loss.
+	Partitions []rounds.Partition
 }
 
 func (o Options) channels() int {
@@ -229,32 +230,15 @@ func (p *Plan) Preload(has map[graph.NodeID]bool) {
 	}
 }
 
-// roundEngine is the round-driver surface Plan.Run needs; both the
-// in-process kernel (*radio.Engine) and the distributed coordinator
-// (*dist.Coordinator) provide it, so every sink, failure and skew knob is
-// plumbed identically — which is what makes the two runtimes' recordings
-// byte-comparable.
-type roundEngine interface {
-	SetTrace(func(radio.Event))
-	SetTraceBatch(func([]radio.Event))
-	FailNodeAt(id graph.NodeID, r int)
-	FailLinkAt(u, v graph.NodeID, r int)
-	SetClockSkew(id graph.NodeID, offset int)
-	SetLoss(rate float64, seed int64) error
-	Run(maxRounds int) radio.Result
-}
-
-// newEngine builds the runtime opts.Runtime selects.
-func (p *Plan) newEngine(g *graph.Graph, opts Options) (roundEngine, func(), error) {
+// newEngine builds the runtime opts.Runtime selects. Both runtimes are the
+// same *radio.Engine — the distributed one hosts its nodes behind a
+// dist.Coordinator — so every sink, failure and skew knob is plumbed
+// identically, which is what makes their recordings byte-comparable.
+func (p *Plan) newEngine(g *graph.Graph, opts Options) (*radio.Engine, func(), error) {
 	switch opts.Runtime {
 	case "", RuntimeKernel:
 		eng, err := radio.NewEngine(g, p.Programs)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng.SetWorkers(opts.Workers)
-		eng.SetPerf(opts.Perf)
-		return eng, func() {}, nil
+		return eng, func() {}, err
 	case RuntimeDist:
 		fleet := opts.Fleet
 		external := fleet != nil
@@ -273,10 +257,7 @@ func (p *Plan) newEngine(g *graph.Graph, opts Options) (roundEngine, func(), err
 			// mirroring there would double-deliver.
 			coord.MirrorDeliveries(p.Programs)
 		}
-		if opts.Nemesis != nil {
-			coord.SetNemesis(*opts.Nemesis)
-		}
-		return coord, func() { _ = coord.Close() }, nil
+		return coord.Engine, func() { _ = coord.Close() }, nil
 	}
 	return nil, nil, fmt.Errorf("broadcast: unknown runtime %q (kernel|dist)", opts.Runtime)
 }
@@ -288,6 +269,9 @@ func (p *Plan) Run(g *graph.Graph, opts Options) (Metrics, error) {
 		return Metrics{}, err
 	}
 	defer done()
+	eng.SetWorkers(opts.Workers)
+	eng.SetPerf(opts.Perf)
+	eng.SetPartitions(opts.Partitions)
 	var col *obs.RadioCollector
 	if opts.Obs != nil {
 		col = obs.NewRadioCollector(opts.Obs, obs.L("protocol", p.Protocol))

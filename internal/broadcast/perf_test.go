@@ -14,8 +14,9 @@ import (
 // change anything the simulation produces. A full ICFF run — with loss,
 // failures, link cuts and skew in the mix — must yield byte-identical
 // trace streams, byte-identical .dsfr flight recordings and identical
-// metrics with perf enabled and disabled, at workers 1 (inline path) and
-// 4 (worker-pool path with pprof labels).
+// metrics with perf enabled and disabled, on both runtimes, at workers 1
+// (inline path) and 4 (worker-pool path with pprof labels; on the
+// distributed runtime, four shards driving their own barriers).
 func TestPerfDoesNotPerturb(t *testing.T) {
 	a := buildAssigned(t, 5, 140, timeslot.ConditionStrict)
 	g := a.Net().Graph()
@@ -34,36 +35,39 @@ func TestPerfDoesNotPerturb(t *testing.T) {
 		LinkFailures: []LinkFailure{{A: nodes[1], B: nodes[2], Round: 2}},
 		Skew:         map[graph.NodeID]int{nodes[4]: 1, nodes[7]: -1},
 	}
-	for _, workers := range []int{1, 4} {
-		off := base
-		wantM, wantTrace, wantFlight := runRecorded(t, build, off, workers)
+	for _, rt := range []string{RuntimeKernel, RuntimeDist} {
+		for _, workers := range []int{1, 4} {
+			off := base
+			off.Runtime = rt
+			wantM, wantTrace, wantFlight := runRecorded(t, build, off, workers)
 
-		on := base
-		perf := radio.NewPerf()
-		on.Perf = perf
-		gotM, gotTrace, gotFlight := runRecorded(t, build, on, workers)
+			on := off
+			perf := radio.NewPerf()
+			on.Perf = perf
+			gotM, gotTrace, gotFlight := runRecorded(t, build, on, workers)
 
-		if gotM.String() != wantM.String() {
-			t.Fatalf("workers=%d: perf on/off metrics diverge:\n got %s\nwant %s", workers, gotM, wantM)
-		}
-		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Fatalf("workers=%d: perf on/off trace streams diverge", workers)
-		}
-		if !bytes.Equal(gotFlight, wantFlight) {
-			t.Fatalf("workers=%d: perf on/off flight recordings diverge (%d vs %d bytes)",
-				workers, len(gotFlight), len(wantFlight))
-		}
+			if gotM.String() != wantM.String() {
+				t.Fatalf("%s workers=%d: perf on/off metrics diverge:\n got %s\nwant %s", rt, workers, gotM, wantM)
+			}
+			if !bytes.Equal(gotTrace, wantTrace) {
+				t.Fatalf("%s workers=%d: perf on/off trace streams diverge", rt, workers)
+			}
+			if !bytes.Equal(gotFlight, wantFlight) {
+				t.Fatalf("%s workers=%d: perf on/off flight recordings diverge (%d vs %d bytes)",
+					rt, workers, len(gotFlight), len(wantFlight))
+			}
 
-		// The collector must actually have observed the run it rode along.
-		snap := perf.Snapshot()
-		if snap.Runs != 1 {
-			t.Fatalf("workers=%d: perf runs = %d, want 1", workers, snap.Runs)
-		}
-		if snap.Rounds <= 0 || snap.Events <= 0 || snap.WallNs <= 0 {
-			t.Fatalf("workers=%d: empty perf snapshot: %+v", workers, snap)
-		}
-		if len(snap.ShardBusyNs) != workers {
-			t.Fatalf("workers=%d: %d shard accumulators", workers, len(snap.ShardBusyNs))
+			// The collector must actually have observed the run it rode along.
+			snap := perf.Snapshot()
+			if snap.Runs != 1 {
+				t.Fatalf("%s workers=%d: perf runs = %d, want 1", rt, workers, snap.Runs)
+			}
+			if snap.Rounds != int64(gotM.Rounds) || snap.Events <= 0 || snap.WallNs <= 0 {
+				t.Fatalf("%s workers=%d: perf snapshot %+v does not match the run's %d rounds", rt, workers, snap, gotM.Rounds)
+			}
+			if len(snap.ShardBusyNs) != workers {
+				t.Fatalf("%s workers=%d: %d shard accumulators", rt, workers, len(snap.ShardBusyNs))
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"dynsens/internal/graph"
 	"dynsens/internal/netio/frame"
 	"dynsens/internal/radio"
-	"dynsens/internal/radio/rounds"
 )
 
 // DefaultRoundTimeout bounds how long the coordinator waits for one node's
@@ -16,76 +15,55 @@ import (
 // is microseconds.
 const DefaultRoundTimeout = 10 * time.Second
 
-// Coordinator drives a fleet of actor nodes through the radio model's
-// round structure, one barrier pair per round per node: Act (collect the
-// node's action) and Finish (apply the resolved delivery, collect the Done
-// bit). Audibility, collision resolution and loss coins come from the same
-// internal/radio/rounds core and the same graph adjacency the in-process
-// kernel uses, and events flow into the same trace hooks, so Run's Result,
-// event stream (Event.Seq included) and any recording hung off the hooks
-// are byte-identical to radio.Engine.Run for the same seed and scenario —
-// the distributed runtime's equivalence obligation. A scripted Nemesis
-// (crashes, healing partitions; loss via SetLoss) and the unscripted faults
-// of real transports (process death, barrier timeout) disturb runs beyond
-// what the kernel can express; those runs keep the verifiable-event
-// contract (flight.Verify passes) but not byte-equality.
+// Coordinator runs a fleet of actor nodes on the radio kernel. It embeds
+// the *radio.Engine that drives the run — Run, the failure, skew, loss,
+// partition, trace and perf knobs are the engine's own — and is that
+// engine's NodeHost: each shard's act and finish phases become one barrier
+// over the shard's node range, Act (collect the node's action) and Finish
+// (apply its delivery, collect its Done bit). Audibility, loss coins and
+// event order are therefore the kernel's, and a run's Result, event stream
+// (Event.Seq included) and recordings are byte-identical to an in-process
+// run of the same seed and scenario. The unscripted faults of real
+// transports — process death, protocol violation, barrier timeout — are
+// reported to the kernel as crashes: the node sleeps the rest of the round
+// and dies at the start of the next, the failure-schedule semantics of
+// FailNodeAt. Fleets are single-use, so call Run once per coordinator.
 type Coordinator struct {
-	g     *graph.Graph
-	fleet Fleet
-	nodes []graph.NodeID
-	idx   map[graph.NodeID]int32
-	links []*nodeLink
+	*radio.Engine
 
-	nodeFail map[graph.NodeID]int
-	linkFail map[rounds.Link]int
-	skew     map[graph.NodeID]int
-	lossRate float64
-	lossSeed uint64
-	nemesis  Nemesis
-	timeout  time.Duration
-
-	trace      func(radio.Event)
-	traceBatch func([]radio.Event)
-	one        [1]radio.Event
-	seq        uint64
-	mirror     map[graph.NodeID]radio.Program
-
-	firstErr error
+	fleet   Fleet
+	links   []*nodeLink // by node index: ascending node ID
+	timeout time.Duration
+	mirror  map[graph.NodeID]radio.Program
 }
 
 // nodeLink is the coordinator's per-node run state: the peer, its reader
-// goroutine's channel, and the fault flags.
+// goroutine's channel, and the fault state. Only the shard owning the
+// node's index touches it during a run.
 type nodeLink struct {
 	id   graph.NodeID
 	peer *Peer
 	in   chan frame.Frame
-	// crashed: the node violated the protocol or missed a barrier; it is
-	// skipped for the rest of the current round and dies (EvNodeFail) at
-	// the start of the next.
+	// crashed: the node violated the protocol, missed a barrier or lost its
+	// connection; err says how. It is skipped for the rest of the round.
 	crashed bool
+	err     error
 	// halted: the connection is finished with (halt sent and/or closed).
 	halted bool
 }
+
+// barrierHost is the Coordinator viewed as the engine's radio.NodeHost; a
+// distinct type keeps the host methods off the Coordinator's API.
+type barrierHost Coordinator
 
 // NewCoordinator connects one peer per node of g (in ascending node order)
 // through the fleet. The fleet's Hellos must introduce exactly the nodes of
 // g. The coordinator takes ownership of the fleet: Close tears it down.
 func NewCoordinator(g *graph.Graph, fleet Fleet) (*Coordinator, error) {
-	c := &Coordinator{
-		g:        g,
-		fleet:    fleet,
-		nodes:    g.Nodes(),
-		idx:      make(map[graph.NodeID]int32, g.NumNodes()),
-		nodeFail: make(map[graph.NodeID]int),
-		linkFail: make(map[rounds.Link]int),
-		skew:     make(map[graph.NodeID]int),
-		timeout:  DefaultRoundTimeout,
-	}
-	for i, id := range c.nodes {
-		c.idx[id] = int32(i)
-	}
-	c.links = make([]*nodeLink, len(c.nodes))
-	for i, id := range c.nodes {
+	c := &Coordinator{fleet: fleet, timeout: DefaultRoundTimeout}
+	nodes := g.Nodes()
+	c.links = make([]*nodeLink, len(nodes))
+	for i, id := range nodes {
 		peer, err := fleet.Connect(id)
 		if err != nil {
 			_ = c.Close()
@@ -99,6 +77,7 @@ func NewCoordinator(g *graph.Graph, fleet Fleet) (*Coordinator, error) {
 		c.links[i] = l
 		go pump(l)
 	}
+	c.Engine = radio.NewHostedEngine(g, (*barrierHost)(c))
 	return c, nil
 }
 
@@ -116,38 +95,6 @@ func pump(l *nodeLink) {
 	}
 }
 
-// SetTrace installs a per-event trace callback (nil disables it), with the
-// engine's contract: called on the Run goroutine, in the deterministic
-// event order.
-func (c *Coordinator) SetTrace(fn func(radio.Event)) { c.trace = fn }
-
-// SetTraceBatch installs a batched trace callback with the engine's
-// contract; the coordinator hands over single-event batches.
-func (c *Coordinator) SetTraceBatch(fn func([]radio.Event)) { c.traceBatch = fn }
-
-// FailNodeAt schedules node id to die at the start of round r, exactly as
-// radio.Engine.FailNodeAt does.
-func (c *Coordinator) FailNodeAt(id graph.NodeID, r int) { c.nodeFail[id] = r }
-
-// FailLinkAt schedules the link {u, v} to be cut at the start of round r.
-func (c *Coordinator) FailLinkAt(u, v graph.NodeID, r int) { c.linkFail[rounds.MkLink(u, v)] = r }
-
-// SetClockSkew gives node id a local clock offset; the coordinator sends
-// pre-skewed local rounds in its barriers, so node hosts stay
-// skew-ignorant.
-func (c *Coordinator) SetClockSkew(id graph.NodeID, offset int) { c.skew[id] = offset }
-
-// SetLoss enables the engine's loss model with the same counter-stream
-// coins (internal/radio/rounds): identical seed, identical losses.
-func (c *Coordinator) SetLoss(rate float64, seed int64) error {
-	if rate < 0 || rate >= 1 {
-		return fmt.Errorf("dist: loss rate %v out of [0,1)", rate)
-	}
-	c.lossRate = rate
-	c.lossSeed = uint64(seed)
-	return nil
-}
-
 // MirrorDeliveries replays every delivery the coordinator hands out into
 // the given local Program copies. Out-of-process fleets (ProcFleet,
 // TCPFleet) execute their own reconstructions of the plan's Programs, so
@@ -160,45 +107,32 @@ func (c *Coordinator) MirrorDeliveries(programs map[graph.NodeID]radio.Program) 
 	c.mirror = programs
 }
 
-// SetNemesis installs the scripted fault injector for the next Run.
-func (c *Coordinator) SetNemesis(nm Nemesis) { c.nemesis = nm }
-
 // SetRoundTimeout overrides DefaultRoundTimeout; d <= 0 waits forever
 // (barrier faults then only surface through transport errors).
 func (c *Coordinator) SetRoundTimeout(d time.Duration) { c.timeout = d }
 
-// Err returns the first transport or protocol anomaly the run absorbed as
-// a crash (nil on an undisturbed run). The Result stays valid either way —
-// faults are part of the simulation, not of its bookkeeping.
-func (c *Coordinator) Err() error { return c.firstErr }
+// Err returns a transport or protocol anomaly the run absorbed as a crash —
+// the lowest node's, if several — or nil on an undisturbed run. The Result
+// stays valid either way: faults are part of the simulation, not of its
+// bookkeeping.
+func (c *Coordinator) Err() error {
+	for _, l := range c.links {
+		if l != nil && l.err != nil {
+			return l.err
+		}
+	}
+	return nil
+}
 
-// Close tears the fleet down. Idempotent; Run's normal exit already halts
-// every node.
+// Close halts every node still connected (a healthy remote process exits
+// cleanly on the Halt frame) and tears the fleet down. Idempotent.
 func (c *Coordinator) Close() error {
 	for _, l := range c.links {
 		if l != nil {
-			c.haltLink(l, false)
+			c.haltLink(l)
 		}
 	}
 	return c.fleet.Close()
-}
-
-func (c *Coordinator) emit(ev radio.Event) {
-	c.seq++
-	ev.Seq = c.seq
-	if c.trace != nil {
-		c.trace(ev)
-	}
-	if c.traceBatch != nil {
-		c.one[0] = ev
-		c.traceBatch(c.one[:])
-	}
-}
-
-func (c *Coordinator) noteErr(err error) {
-	if c.firstErr == nil {
-		c.firstErr = err
-	}
 }
 
 // send writes one frame to l, bounded by the round timeout so a node that
@@ -236,277 +170,110 @@ func (c *Coordinator) recv(l *nodeLink) (frame.Frame, error) {
 	}
 }
 
-// haltLink finishes with a node's connection: optionally a best-effort Halt
-// frame (so a healthy remote process exits cleanly), then close.
-func (c *Coordinator) haltLink(l *nodeLink, sendHalt bool) {
+// haltLink finishes with a node's connection: a best-effort Halt frame
+// unless the node crashed, then close.
+func (c *Coordinator) haltLink(l *nodeLink) {
 	if l.halted {
 		return
 	}
 	l.halted = true
-	if sendHalt && !l.crashed {
+	if !l.crashed {
 		_ = c.send(l, &frame.Frame{Kind: frame.KindHalt})
 	}
 	_ = l.peer.conn.Close()
 }
 
-// crash marks l crashed mid-round r: it is skipped for the rest of the
-// round and scheduled to die — EvNodeFail and all — at the start of round
-// r+1, the kernel's failure-schedule semantics for a node that stops
-// participating.
-func (c *Coordinator) crash(l *nodeLink, r int, sched *rounds.Schedule, deadAt []int, err error) {
-	c.noteErr(err)
-	l.crashed = true
-	i := c.idx[l.id]
-	sched.Kill(l.id, r+1)
-	if r+1 < deadAt[i] {
-		deadAt[i] = r + 1
-	}
-	c.haltLink(l, false)
+// crash reports node i to the kernel as crashed mid-round and drops its
+// connection.
+func (c *Coordinator) crash(b *radio.Batch, i int, err error) {
+	l := c.links[i]
+	l.crashed, l.err = true, err
+	b.Crash(i)
+	c.haltLink(l)
 }
 
-const neverDies = int(^uint(0) >> 1)
-
-// Run executes up to maxRounds rounds (1-based) and returns the observed
-// result, stopping early once every live program is Done — the
-// message-passing twin of radio.Engine.Run. Call it once per coordinator.
-func (c *Coordinator) Run(maxRounds int) radio.Result {
-	n := len(c.nodes)
-	res := radio.Result{
-		Awake:     make(map[graph.NodeID]int, n),
-		Listens:   make(map[graph.NodeID]int, n),
-		Transmits: make(map[graph.NodeID]int, n),
+// Start seeds the kernel's Done bits from the nodes' Hellos.
+func (h *barrierHost) Start(_ []graph.NodeID, done []bool) {
+	for i, l := range h.links {
+		done[i] = l.peer.hello.Done
 	}
-
-	sched := rounds.NewSchedule(c.nodeFail, c.linkFail)
-	for _, cr := range c.nemesis.Crashes {
-		sched.Kill(cr.Node, cr.Round)
-	}
-	parts := newPartitions(c.nemesis.Partitions)
-
-	deadAt := make([]int, n)
-	doneF := make([]bool, n)
-	notDone := 0
-	for i, id := range c.nodes {
-		deadAt[i] = neverDies
-		if r, ok := sched.DeathRound(id); ok {
-			deadAt[i] = r
-		}
-		doneF[i] = c.links[i].peer.hello.Done
-		if !doneF[i] && deadAt[i] >= 1 {
-			notDone++
-		}
-	}
-
-	actions := make([]radio.Action, n)
-	awake := make([]int, n)
-	listens := make([]int, n)
-	transmits := make([]int, n)
-	var cand []int32
-	var lost []int32
-	var st rounds.LossStream
-
-	alive := func(i int, round int) bool { return round < deadAt[i] }
-
-	finish := func() radio.Result {
-		for i, id := range c.nodes {
-			res.Awake[id] = awake[i]
-			if listens[i] > 0 {
-				res.Listens[id] = listens[i]
-			}
-			if transmits[i] > 0 {
-				res.Transmits[id] = transmits[i]
-			}
-		}
-		for _, l := range c.links {
-			c.haltLink(l, true)
-		}
-		return res
-	}
-
-	for round := 1; round <= maxRounds; round++ {
-		// Scheduled deaths and cuts fire first and are traced even if this
-		// very round quiesces (kernel semantics). The schedule already
-		// contains the nemesis crashes and any barrier-fault kills from
-		// earlier rounds, sorted into the same deterministic order the
-		// kernel emits.
-		for _, id := range sched.NodeFails(round) {
-			c.emit(radio.Event{Round: round, Kind: radio.EvNodeFail, Node: id})
-			i := c.idx[id]
-			if !doneF[i] {
-				notDone--
-			}
-			c.haltLink(c.links[i], true)
-		}
-		for _, lk := range sched.LinkFails(round) {
-			c.emit(radio.Event{Round: round, Kind: radio.EvLinkFail, Node: lk.U, Peer: lk.V})
-		}
-		if notDone == 0 {
-			res.Rounds = round - 1
-			res.Quiesced = true
-			return finish()
-		}
-
-		// Act barrier: ask every live node for its action, then collect the
-		// answers in ascending node order, emitting transmit events inline —
-		// the reference loop's emission order. A node that cannot be asked
-		// or does not answer simply sleeps this round and is crashed.
-		for i, l := range c.links {
-			if !alive(i, round) || l.crashed {
-				continue
-			}
-			lr := round + c.skew[l.id]
-			if err := c.send(l, &frame.Frame{Kind: frame.KindAct, Round: lr}); err != nil {
-				c.crash(l, round, sched, deadAt, fmt.Errorf("dist: node %d: act send: %w", l.id, err))
-			}
-		}
-		for i, l := range c.links {
-			actions[i] = radio.Action{}
-			if !alive(i, round) || l.crashed {
-				continue
-			}
-			lr := round + c.skew[l.id]
-			f, err := c.recv(l)
-			if err != nil {
-				c.crash(l, round, sched, deadAt, err)
-				continue
-			}
-			if f.Kind != frame.KindAction || f.Round != lr {
-				c.crash(l, round, sched, deadAt,
-					fmt.Errorf("dist: node %d: got %v(round %d) at act barrier of round %d", l.id, f.Kind, f.Round, lr))
-				continue
-			}
-			a := f.Action
-			switch a.Kind {
-			case radio.Sleep:
-				// no cost
-			case radio.Listen:
-				awake[i]++
-				listens[i]++
-			case radio.Transmit:
-				awake[i]++
-				transmits[i]++
-				res.Transmissions++
-				a.Msg.From = l.id
-				c.emit(radio.Event{Round: round, Kind: radio.EvTransmit, Node: l.id, Channel: a.Channel, Msg: a.Msg})
-			}
-			actions[i] = a
-		}
-
-		// Resolve: per listener in ascending node order, enumerate the
-		// transmitting live-link neighbors on its channel in ascending order
-		// (the shared coin-order contract), spend the nemesis partition's
-		// frame drops as loss events, then draw the listener's loss coins
-		// and classify with the shared rounds core.
-		for i, id := range c.nodes {
-			a := &actions[i]
-			if a.Kind != radio.Listen {
-				continue
-			}
-			ch := a.Channel
-			cand = cand[:0]
-			for _, nb := range c.g.Neighbors(id) {
-				j := c.idx[nb]
-				t := &actions[j]
-				if t.Kind != radio.Transmit || t.Channel != ch {
-					continue
-				}
-				if !sched.LinkAlive(id, nb, round) {
-					continue
-				}
-				if parts.cuts(round, id, nb) {
-					res.Losses++
-					c.emit(radio.Event{Round: round, Kind: radio.EvLoss, Node: id, Peer: nb, Channel: ch, Msg: t.Msg})
-					continue
-				}
-				cand = append(cand, j)
-			}
-			if len(cand) == 0 {
-				continue
-			}
-			if c.lossRate > 0 {
-				st = rounds.NewLossStream(c.lossSeed, id, round)
-			}
-			verdict, win, lostOut := rounds.Resolve(len(cand), c.lossRate, &st, lost[:0])
-			lost = lostOut
-			for _, ci := range lost {
-				j := cand[ci]
-				res.Losses++
-				c.emit(radio.Event{Round: round, Kind: radio.EvLoss, Node: id, Peer: c.nodes[j], Channel: ch, Msg: actions[j].Msg})
-			}
-			switch verdict {
-			case rounds.Delivered:
-				j := cand[win]
-				res.Deliveries++
-				c.emit(radio.Event{Round: round, Kind: radio.EvDeliver, Node: id, Peer: c.nodes[j], Channel: ch, Msg: actions[j].Msg})
-				// Carry the pending delivery to the finish barrier in the
-				// listener's own action slot; deliverPending is not Transmit,
-				// so later listeners' candidate scans are unaffected.
-				actions[i] = radio.Action{Kind: deliverPending, Channel: ch, Msg: actions[j].Msg}
-			case rounds.Collided:
-				res.Collisions++
-				c.emit(radio.Event{Round: round, Kind: radio.EvCollision, Node: id, Channel: ch})
-			}
-		}
-
-		// Finish barrier: close every live node's round — deliver what it
-		// heard, collect its Done bit — in ascending order, mirroring the
-		// kernel's deliver phase and its Done re-evaluation.
-		for i, l := range c.links {
-			if !alive(i, round) || l.crashed {
-				continue
-			}
-			lr := round + c.skew[l.id]
-			f := frame.Frame{Kind: frame.KindFinish, Round: lr}
-			if actions[i].Kind == deliverPending {
-				f.HasMsg = true
-				f.Msg = actions[i].Msg
-				// The delivery happened this round regardless of what the
-				// node does next (kernel semantics), so the mirror copy
-				// records it even if the finish send below crashes the link.
-				if prog := c.mirror[l.id]; prog != nil {
-					prog.Deliver(lr, f.Msg)
-				}
-			}
-			if err := c.send(l, &f); err != nil {
-				c.crash(l, round, sched, deadAt, fmt.Errorf("dist: node %d: finish send: %w", l.id, err))
-			}
-		}
-		for i, l := range c.links {
-			if !alive(i, round) || l.crashed {
-				continue
-			}
-			lr := round + c.skew[l.id]
-			f, err := c.recv(l)
-			if err != nil {
-				c.crash(l, round, sched, deadAt, err)
-				continue
-			}
-			if f.Kind != frame.KindStatus || f.Round != lr {
-				c.crash(l, round, sched, deadAt,
-					fmt.Errorf("dist: node %d: got %v(round %d) at finish barrier of round %d", l.id, f.Kind, f.Round, lr))
-				continue
-			}
-			if !doneF[i] && f.Done {
-				doneF[i] = true
-				notDone--
-			}
-		}
-		res.Rounds = round
-	}
-
-	// Deaths scheduled for round maxRounds+1 precede the final quiescence
-	// check but fall outside the loop, so they emit no events (kernel
-	// semantics).
-	for _, id := range sched.NodeFails(maxRounds + 1) {
-		if i := c.idx[id]; !doneF[i] {
-			notDone--
-		}
-	}
-	res.Quiesced = notDone == 0
-	return finish()
 }
 
-// deliverPending is a private ActionKind value the resolve loop uses to
-// carry "this listener received Msg" to the finish barrier inside the
-// actions slice. It never crosses the wire and never reaches a Program.
-const deliverPending radio.ActionKind = -1
+// Act is the act barrier of one shard's node range: every live node
+// answers an Act frame (at its local round) with its Program's action.
+//
+//dynlint:shardsafe shards drive their own node ranges' barriers concurrently; a range touches only its own links
+func (h *barrierHost) Act(b *radio.Batch) {
+	(*Coordinator)(h).barrier(b, frame.KindAct, nil, frame.KindAction, func(i int, f *frame.Frame) {
+		b.Put(i, f.Action)
+	})
+}
+
+// Finish is the finish barrier of one shard's node range: every live node
+// gets a Finish frame, carrying its delivery if it heard one, and answers
+// with its Done bit.
+//
+//dynlint:shardsafe shards drive their own node ranges' barriers concurrently; a range touches only its own links
+func (h *barrierHost) Finish(b *radio.Batch) {
+	c := (*Coordinator)(h)
+	dl := b.Deliveries()
+	deliver := func(i int, f *frame.Frame) {
+		if len(dl) == 0 || int(dl[0].Index) != i {
+			return
+		}
+		f.HasMsg, f.Msg = true, dl[0].Msg
+		dl = dl[1:]
+		// The delivery happened this round regardless of what the node
+		// does next (kernel semantics), so the mirror copy records it even
+		// if the send crashes the link.
+		if prog := c.mirror[c.links[i].id]; prog != nil {
+			prog.Deliver(f.Round, f.Msg)
+		}
+	}
+	c.barrier(b, frame.KindFinish, deliver, frame.KindStatus, func(i int, f *frame.Frame) {
+		if f.Done {
+			b.MarkDone(i)
+		}
+	})
+}
+
+// barrier runs one pipelined barrier over b's node range: it sends every
+// live node a frame of kind out (at the node's local round, filled in by
+// fill when non-nil), then collects the answers of kind want in ascending
+// order and hands each to got — so the range's nodes compute in parallel
+// and the barrier waits once, not once per node. A node that fails either
+// leg is reported crashed and sits out the rest of the round. Nodes that
+// died by schedule are halted here, the first barrier they sit out.
+func (c *Coordinator) barrier(b *radio.Batch, out frame.Kind, fill func(int, *frame.Frame), want frame.Kind, got func(int, *frame.Frame)) {
+	lo, hi := b.Range()
+	for i := lo; i < hi; i++ {
+		l := c.links[i]
+		if !b.Live(i) || l.crashed {
+			c.haltLink(l)
+			continue
+		}
+		f := frame.Frame{Kind: out, Round: b.LocalRound(i)}
+		if fill != nil {
+			fill(i, &f)
+		}
+		if err := c.send(l, &f); err != nil {
+			c.crash(b, i, fmt.Errorf("dist: node %d: %v send: %w", l.id, out, err))
+		}
+	}
+	for i := lo; i < hi; i++ {
+		l := c.links[i]
+		if !b.Live(i) || l.crashed {
+			continue
+		}
+		lr := b.LocalRound(i)
+		f, err := c.recv(l)
+		if err == nil && (f.Kind != want || f.Round != lr) {
+			err = fmt.Errorf("dist: node %d: got %v(round %d) awaiting %v of round %d", l.id, f.Kind, f.Round, want, lr)
+		}
+		if err != nil {
+			c.crash(b, i, err)
+			continue
+		}
+		got(i, &f)
+	}
+}

@@ -7,12 +7,15 @@ import (
 	"os/exec"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"dynsens/internal/dist"
 	"dynsens/internal/graph"
+	"dynsens/internal/netio/frame"
 	"dynsens/internal/radio"
+	"dynsens/internal/radio/rounds"
 )
 
 // tdmaProg is a deterministic test program: the source starts with the
@@ -301,79 +304,92 @@ func TestBarrierTimeoutMatchesKernelCrash(t *testing.T) {
 	}
 }
 
-func TestNemesisPartitionHeals(t *testing.T) {
-	// 0-1-2 line; node 0 transmits every round. A partition isolates node 0
-	// during rounds 2-3: node 1 records losses in the window and deliveries
-	// on both sides of it.
-	g := lineGraph(t, 3)
-	mid, far := &listenProg{}, &listenProg{}
-	progs := map[graph.NodeID]radio.Program{
-		0: newTDMA(0, 1, 6, true),
-		1: mid,
-		2: far,
-	}
-	coord, err := dist.NewCoordinator(g, dist.NewLocalFleet(progs))
+// TestDistMatchesKernelAbsentNodeFail pins FailNodeAt on a node the graph
+// does not have: the kernel traces the death and touches no node, and the
+// distributed run must do the same rather than mistake it for node 0.
+func TestDistMatchesKernelAbsentNodeFail(t *testing.T) {
+	assertEqualRuns(t, &scenario{n: 4, mod: 4, quota: 2, maxRounds: 20, nodeFail: map[graph.NodeID]int{99: 3}})
+}
+
+// TestCrashErrNamesTheFault pins Err to the fault itself: a node that
+// missed its act barrier sits out the finish barrier too, rather than being
+// re-crashed by a send on its dropped connection.
+func TestCrashErrNamesTheFault(t *testing.T) {
+	sc := &scenario{n: 4, mod: 4, quota: 2, maxRounds: 8}
+	progs := sc.programs()
+	progs[1] = &hangProg{inner: progs[1], hangAt: 2}
+	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewLocalFleet(progs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	var c collect
-	coord.SetTrace(c.hook)
-	coord.SetNemesis(dist.Nemesis{
-		Partitions: []dist.Partition{{From: 2, To: 3, Side: []graph.NodeID{0}}},
-	})
-	res := coord.Run(6)
-	if err := coord.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 6 || res.Quiesced {
-		t.Fatalf("unexpected result %+v", res)
-	}
-	wantDeliver := []int{1, 4, 5, 6}
-	if !reflect.DeepEqual(mid.got, wantDeliver) {
-		t.Errorf("node 1 deliveries in rounds %v, want %v", mid.got, wantDeliver)
-	}
-	var lossRounds []int
-	for _, ev := range c.events {
-		if ev.Kind == radio.EvLoss {
-			if ev.Node != 1 || ev.Peer != 0 {
-				t.Errorf("unexpected loss pair %+v", ev)
-			}
-			lossRounds = append(lossRounds, ev.Round)
-		}
-	}
-	if want := []int{2, 3}; !reflect.DeepEqual(lossRounds, want) {
-		t.Errorf("partition losses in rounds %v, want %v", lossRounds, want)
-	}
-	if res.Losses != 2 || res.Deliveries != len(wantDeliver) {
-		t.Errorf("counters diverge: %+v", res)
+	coord.SetRoundTimeout(100 * time.Millisecond)
+	coord.Run(sc.maxRounds)
+	if err := coord.Err(); err == nil || !strings.Contains(err.Error(), "no answer within") {
+		t.Fatalf("Err = %v, want the barrier timeout", err)
 	}
 }
 
-func TestNemesisCrashMatchesFailNodeAt(t *testing.T) {
-	// A scripted nemesis crash is the same thing as FailNodeAt.
-	sc := &scenario{n: 4, mod: 4, quota: 2, maxRounds: 15}
-	kSc := *sc
-	kSc.nodeFail = map[graph.NodeID]int{3: 5}
-	kRes, kTrace := kSc.runKernel(t, kSc.programs())
-
-	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewLocalFleet(sc.programs()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	coord.SetNemesis(dist.Nemesis{Crashes: []dist.Crash{{Node: 3, Round: 5}}})
-	var c collect
-	coord.SetTrace(c.hook)
-	dRes := coord.Run(sc.maxRounds)
-	if err := coord.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(kRes, dRes) {
-		t.Errorf("results diverge:\nkernel: %+v\ndist:   %+v", kRes, dRes)
-	}
-	if !reflect.DeepEqual(kTrace.events, c.events) {
-		t.Fatalf("trace diverges from FailNodeAt twin")
+func TestNemesisPartitionHeals(t *testing.T) {
+	// 0-1-2 line; node 0 transmits every round. A partition isolates node 0
+	// during rounds 2-3: node 1 records losses in the window and deliveries
+	// on both sides of it — on either runtime, since partitions are the
+	// kernel's.
+	for _, rt := range []string{"kernel", "dist"} {
+		t.Run(rt, func(t *testing.T) {
+			g := lineGraph(t, 3)
+			mid, far := &listenProg{}, &listenProg{}
+			progs := map[graph.NodeID]radio.Program{
+				0: newTDMA(0, 1, 6, true),
+				1: mid,
+				2: far,
+			}
+			var eng *radio.Engine
+			var coord *dist.Coordinator
+			var err error
+			if rt == "dist" {
+				if coord, err = dist.NewCoordinator(g, dist.NewLocalFleet(progs)); err == nil {
+					defer coord.Close()
+					eng = coord.Engine
+				}
+			} else {
+				eng, err = radio.NewEngine(g, progs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c collect
+			eng.SetTrace(c.hook)
+			eng.SetPartitions([]rounds.Partition{{From: 2, To: 3, Side: []graph.NodeID{0}}})
+			res := eng.Run(6)
+			if coord != nil {
+				if err := coord.Err(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if res.Rounds != 6 || res.Quiesced {
+				t.Fatalf("unexpected result %+v", res)
+			}
+			wantDeliver := []int{1, 4, 5, 6}
+			if !reflect.DeepEqual(mid.got, wantDeliver) {
+				t.Errorf("node 1 deliveries in rounds %v, want %v", mid.got, wantDeliver)
+			}
+			var lossRounds []int
+			for _, ev := range c.events {
+				if ev.Kind == radio.EvLoss {
+					if ev.Node != 1 || ev.Peer != 0 {
+						t.Errorf("unexpected loss pair %+v", ev)
+					}
+					lossRounds = append(lossRounds, ev.Round)
+				}
+			}
+			if want := []int{2, 3}; !reflect.DeepEqual(lossRounds, want) {
+				t.Errorf("partition losses in rounds %v, want %v", lossRounds, want)
+			}
+			if res.Losses != 2 || res.Deliveries != len(wantDeliver) {
+				t.Errorf("counters diverge: %+v", res)
+			}
+		})
 	}
 }
 
@@ -411,6 +427,82 @@ func TestTCPFleetMatchesKernel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kTrace.events, c.events) {
 		t.Fatalf("TCP trace diverges from kernel trace")
+	}
+}
+
+// serveLiar is a node host that answers its act barriers from round badAt
+// on with the wrong round number — a protocol violation.
+func serveLiar(addr string, id graph.NodeID, prog radio.Program, badAt int) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	enc, dec := frame.NewEncoder(conn), frame.NewDecoder(conn)
+	_ = enc.Encode(&frame.Frame{Kind: frame.KindHello, Node: id, Done: prog.Done()})
+	var f frame.Frame
+	for dec.Decode(&f) == nil {
+		switch f.Kind {
+		case frame.KindAct:
+			round := f.Round
+			if round >= badAt {
+				round++
+			}
+			_ = enc.Encode(&frame.Frame{Kind: frame.KindAction, Round: round, Action: prog.Act(f.Round)})
+		case frame.KindFinish:
+			if f.HasMsg {
+				prog.Deliver(f.Round, f.Msg)
+			}
+			_ = enc.Encode(&frame.Frame{Kind: frame.KindStatus, Round: f.Round, Done: prog.Done()})
+		default:
+			return
+		}
+	}
+}
+
+func TestProtocolViolationMatchesKernelCrash(t *testing.T) {
+	// A node that answers its round-3 act barrier for the wrong round is
+	// absorbed like any other fault — it sleeps through round 3 and dies at
+	// round 4 — with no round timeout at all.
+	const badAt, victim = 3, graph.NodeID(2)
+	sc := &scenario{n: 4, mod: 4, quota: 2, maxRounds: 12}
+
+	kProgs := sc.programs()
+	kProgs[victim] = &sleepFromProg{inner: kProgs[victim], sleepAt: badAt}
+	kSc := *sc
+	kSc.nodeFail = map[graph.NodeID]int{victim: badAt + 1}
+	kRes, kTrace := kSc.runKernel(t, kProgs)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	for id, prog := range sc.programs() {
+		id, prog := id, prog
+		if id == victim {
+			go serveLiar(addr, id, prog, badAt)
+			continue
+		}
+		go func() { _ = dist.DialNode(addr, id, prog) }()
+	}
+	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewTCPFleet(ln))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.SetRoundTimeout(0)
+	var c collect
+	coord.SetTrace(c.hook)
+	dRes := coord.Run(sc.maxRounds)
+	if err := coord.Err(); err == nil || !strings.Contains(err.Error(), "awaiting action") {
+		t.Fatalf("Err = %v, want the act-barrier protocol violation", err)
+	}
+	if !reflect.DeepEqual(kRes, dRes) {
+		t.Errorf("results diverge:\nkernel: %+v\ndist:   %+v", kRes, dRes)
+	}
+	if !reflect.DeepEqual(kTrace.events, c.events) {
+		t.Fatalf("violation trace diverges from kernel failure-schedule twin:\nkernel: %+v\ndist:   %+v", kTrace.events, c.events)
 	}
 }
 

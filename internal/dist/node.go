@@ -1,20 +1,19 @@
 // Package dist is the distributed actor runtime: it hosts the repository's
 // unmodified radio.Program implementations as isolated message-passing
 // nodes — goroutines behind in-memory pipes by default, separate OS
-// processes (cmd/dnode) or TCP peers when asked — and drives them through
-// the paper's round/slot structure with a coordinator that speaks the
+// processes (cmd/dnode) or TCP peers when asked — speaking the
 // length-prefixed frame protocol of internal/netio/frame.
 //
-// The coordinator consumes the same transport-agnostic round core
-// (internal/radio/rounds: loss-coin streams, single-listener resolution,
-// failure schedule) and the same graph adjacency as the in-process kernel,
-// and emits events into the same trace/obs/flight sinks. For a fixed seed
-// and scenario, a distributed run's trace, recording and Result are
-// byte-identical to the kernel's — equivalence is the proof obligation,
-// exactly as RunReference is for the kernel. On top of that, a scripted
-// nemesis injects what only a distributed runtime can make honest: crashes
-// (a node that dies or stops answering its round barrier), temporary
-// partitions that heal, and frame loss.
+// The round loop is the radio kernel's own: the Coordinator is a
+// radio.NodeHost, so the kernel resolves audibility, loss coins,
+// partitions and the failure schedule, emits every event, and times the
+// run (radio.Perf) exactly as it does for in-process Programs. The
+// coordinator only moves frames: each shard's act and finish phases
+// become one barrier over the shard's node range. For a fixed seed and
+// scenario, a distributed run's trace, recording and Result are therefore
+// byte-identical to the kernel's. What only a distributed runtime can make
+// honest — a node process that dies, or stops answering its barrier — is
+// absorbed as a crash with FailNodeAt's semantics.
 package dist
 
 import (
@@ -30,8 +29,8 @@ import (
 // itself with a Hello (node ID plus the program's initial Done bit), then
 // answers the coordinator's round barriers — Act with the program's action,
 // Finish (applying the optional delivery) with the program's Done bit —
-// until a Halt frame or EOF ends the run. The loop is the distributed twin
-// of the kernel's shard phases and carries the same determinism
+// until a Halt frame or EOF ends the run. The loop is the remote half of
+// the kernel's act and finish phases and carries the same determinism
 // obligations, statically enforced by dynlint: no event sinks, no global
 // rand, nothing but the program's own node-local state.
 //

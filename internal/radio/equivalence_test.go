@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dynsens/internal/graph"
+	"dynsens/internal/radio/rounds"
 )
 
 // scenario describes one randomized engine workload, fully determined by
@@ -24,6 +25,7 @@ type scenario struct {
 	nodeFails int     // scheduled node deaths (rounds may be <=0 or past the budget)
 	linkFails int     // scheduled link cuts
 	skewed    int     // nodes given a clock offset
+	parts     int     // partition windows over random node sets
 }
 
 // build constructs a fresh engine for the scenario. Every random choice is
@@ -70,6 +72,18 @@ func (s scenario) build(t testing.TB) *Engine {
 			t.Fatal(err)
 		}
 	}
+	var parts []rounds.Partition
+	for i := 0; i < s.parts; i++ {
+		from := rng.Intn(s.rounds+2) - 1
+		p := rounds.Partition{From: from, To: from + rng.Intn(4)}
+		for id := 0; id < s.n; id++ {
+			if rng.Intn(3) == 0 {
+				p.Side = append(p.Side, graph.NodeID(id))
+			}
+		}
+		parts = append(parts, p)
+	}
+	eng.SetPartitions(parts)
 	return eng
 }
 
@@ -111,8 +125,8 @@ func equivalenceWorkers() []int {
 }
 
 // TestEngineEquivalenceSuite is the deterministic determinism proof: for a
-// spread of seeded scenarios — plain, lossy, failing, skewed, and all at
-// once — the kernel must match the reference engine byte for byte at every
+// spread of seeded scenarios — plain, lossy, failing, skewed, partitioned,
+// and all at once — the kernel must match the reference engine byte for byte at every
 // worker count. CI runs this under -race with GOMAXPROCS 1 and 4.
 func TestEngineEquivalenceSuite(t *testing.T) {
 	cases := []scenario{
@@ -125,6 +139,8 @@ func TestEngineEquivalenceSuite(t *testing.T) {
 		{seed: 7, n: 50, extraEdge: 40, horizon: 22, rounds: 24, nodeFails: 10, linkFails: 8, lossRate: 0.2, skewed: 12},
 		{seed: 8, n: 3, horizon: 30, rounds: 5, nodeFails: 3}, // budget exhausted, final-check deaths
 		{seed: 9, n: 64, extraEdge: 200, horizon: 10, rounds: 12, lossRate: 0.5},
+		{seed: 10, n: 45, extraEdge: 60, horizon: 20, rounds: 22, lossRate: 0.3, parts: 3},
+		{seed: 12, n: 50, extraEdge: 40, horizon: 22, rounds: 24, nodeFails: 6, linkFails: 6, lossRate: 0.2, skewed: 8, parts: 2},
 	}
 	for _, s := range cases {
 		s := s
@@ -188,8 +204,8 @@ func TestEngineWorkersExceedNodes(t *testing.T) {
 	checkEquivalence(t, s, []int{7, 100})
 }
 
-// FuzzEngineEquivalence drives random graphs, programs, loss seeds and
-// failure schedules through both engines and fails on any divergence in
+// FuzzEngineEquivalence drives random graphs, programs, loss seeds,
+// failure schedules and partition windows through both engines and fails on any divergence in
 // Result or serialized trace — the fuzzing arm of the determinism proof.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(12), uint8(0), uint8(0))
@@ -206,7 +222,67 @@ func FuzzEngineEquivalence(f *testing.F) {
 			nodeFails: int(failRaw % 8),
 			linkFails: int(failRaw % 5),
 			skewed:    int(failRaw % 7),
+			parts:     int(failRaw % 3),
 		}
 		checkEquivalence(t, s, []int{1, 2, 4})
 	})
+}
+
+// crashHost is the in-process host with one node that stops answering its
+// act barrier from round crashAt on, as a remote node that died would.
+type crashHost struct {
+	*programHost
+	victim, crashAt int
+}
+
+func (h *crashHost) Act(b *Batch) {
+	lo, hi := b.Range()
+	for i := lo; i < hi; i++ {
+		switch {
+		case !b.Live(i):
+		case i == h.victim && b.round >= h.crashAt:
+			b.Crash(i)
+		default:
+			b.Put(i, h.progs[i].Act(b.LocalRound(i)))
+		}
+	}
+}
+
+// sleepFrom relays to an inner program until round from, then sleeps.
+type sleepFrom struct {
+	Program
+	from int
+}
+
+func (p *sleepFrom) Act(round int) Action {
+	if round >= p.from {
+		return SleepAction()
+	}
+	return p.Program.Act(round)
+}
+
+// TestHostCrashIsFailNodeAt pins the NodeHost crash contract: a node a host
+// reports crashed in round r sleeps through r and dies at the start of
+// r+1 — byte-identical to a sleeping program plus FailNodeAt(id, r+1), at
+// every worker count.
+func TestHostCrashIsFailNodeAt(t *testing.T) {
+	s := scenario{seed: 13, n: 30, extraEdge: 25, horizon: 18, rounds: 20, lossRate: 0.2, linkFails: 3}
+	const victim, crashAt = 11, 6
+	twin := s.build(t)
+	id := twin.g.Nodes()[victim]
+	twin.programs[id] = &sleepFrom{Program: twin.programs[id], from: crashAt}
+	twin.FailNodeAt(id, crashAt+1)
+	wantRes, wantTrace := runTraced(twin, s.rounds, true)
+	for _, w := range equivalenceWorkers() {
+		eng := s.build(t)
+		eng.host = &crashHost{programHost: eng.host.(*programHost), victim: victim, crashAt: crashAt}
+		eng.SetWorkers(w)
+		gotRes, gotTrace := runTraced(eng, s.rounds, false)
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Fatalf("workers=%d: result diverges\n got %+v\nwant %+v", w, gotRes, wantRes)
+		}
+		if !bytes.Equal(gotTrace, wantTrace) {
+			t.Fatalf("workers=%d: trace diverges\n got:\n%s\nwant:\n%s", w, gotTrace, wantTrace)
+		}
+	}
 }

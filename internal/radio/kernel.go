@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -15,16 +14,20 @@ import (
 // Run restructures the reference loop (RunReference) into explicit phases
 // per round:
 //
-//	act     — collect each live node's Action; node-local, fans out over
-//	          ID-range shards.
+//	act     — collect each live node's Action through the NodeHost (host.go);
+//	          node-local, fans out over ID-range shards.
 //	resolve — per listener, enumerate candidate frames from its *neighbors*
 //	          (word-wise against per-channel transmitter bitsets, or via the
 //	          dense index-space adjacency), draw that listener's loss coins
 //	          from its own counter stream, and stage rx events in the
 //	          shard's buffer; node-local, fans out over the same shards.
 //	deliver — stamp the staged events' Seq numbers from precomputed
-//	          per-shard bases, hand receptions to the shard's Programs, and
-//	          re-evaluate Done; node-local, fans out again.
+//	          per-shard bases, then let the NodeHost hand receptions to the
+//	          shard's nodes and re-read Done; node-local, fans out again.
+//
+// The kernel is the one round loop: whether the nodes are in-process
+// Programs or remote actors behind internal/dist's frame barriers only
+// changes the NodeHost, never the round semantics.
 //
 // Determinism by construction: loss coins come from splitmix64 counter
 // streams keyed (lossSeed, listener, round) — see rng.go — so any shard can
@@ -98,12 +101,19 @@ func (e *Engine) effectiveWorkers(n int) int {
 type shard struct {
 	lo, hi int
 
-	txIdx []int32      // this round's transmitter indices, ascending
-	evAct []Event      // EvTransmit events, ascending node order (traced runs only)
-	evRx  []Event      // rx-phase events: per listener losses then outcome (traced runs only)
-	cand  []int32      // per-listener candidate scratch, reset for each listener
-	lost  []int32      // per-listener lost-candidate scratch (rounds.Resolve output)
-	deliv []deliverRec // successful receptions, ascending listener order
+	txIdx []int32    // this round's transmitter indices, ascending
+	evAct []Event    // EvTransmit events, ascending node order (traced runs only)
+	evRx  []Event    // rx-phase events: per listener losses then outcome (traced runs only)
+	cand  []int32    // per-listener candidate scratch, reset for each listener
+	lost  []int32    // per-listener lost-candidate scratch (rounds.Resolve output)
+	deliv []Delivery // successful receptions, ascending listener order
+
+	// crashed lists the node indices the host reported crashed this round;
+	// the serial stitch folds them into the failure schedule.
+	crashed []int32
+
+	// batch is the shard's NodeHost view, reused every round.
+	batch Batch
 
 	// st is the current listener's loss-coin stream, kept in the shard so
 	// taking its address for rounds.Resolve never escapes to the heap.
@@ -124,13 +134,6 @@ type shard struct {
 
 	// newlyDone counts Done false→true transitions seen this round.
 	newlyDone int
-}
-
-// deliverRec is one successful reception, decided in resolve and applied by
-// the deliver phase. node is always inside its shard's [lo, hi).
-type deliverRec struct {
-	node int32
-	msg  Message
 }
 
 // phaseOp selects which shard phase a pool worker runs.
@@ -156,7 +159,6 @@ type kernel struct {
 	e      *Engine
 	nodes  []graph.NodeID
 	idx    map[graph.NodeID]int32
-	progs  []Program
 	skews  []int
 	nbrs   [][]int32 // index-space adjacency, ascending (shares one backing array)
 	traced bool      // any trace hook installed; untraced runs skip Event staging
@@ -185,8 +187,8 @@ type kernel struct {
 
 	// sched buckets the failure schedules by round, sorted within each
 	// round, so a round with no failures costs one map lookup instead of a
-	// rescan of the full sorted schedule. It is the shared
-	// rounds.Schedule the distributed coordinator also runs on.
+	// rescan of the full sorted schedule; host-reported crashes join it at
+	// run time.
 	sched *rounds.Schedule
 
 	actions                   []Action // this round's action per node index
@@ -230,7 +232,6 @@ func (e *Engine) newKernel() *kernel {
 		e:         e,
 		nodes:     nodes,
 		idx:       make(map[graph.NodeID]int32, n),
-		progs:     make([]Program, n),
 		skews:     make([]int, n),
 		deadAt:    make([]int, n),
 		doneF:     make([]bool, n),
@@ -243,7 +244,6 @@ func (e *Engine) newKernel() *kernel {
 	}
 	for i, id := range nodes {
 		k.idx[id] = int32(i)
-		k.progs[i] = e.programs[id]
 		k.skews[i] = e.skew[id]
 		k.deadAt[i] = neverDies
 	}
@@ -295,9 +295,9 @@ func (e *Engine) newKernel() *kernel {
 	}
 
 	// Seed the quiescence counter: nodes dead before round 1 never count;
-	// everyone else counts until their program reports Done.
-	for i := range k.progs {
-		k.doneF[i] = k.progs[i].Done()
+	// everyone else counts until the host reports them Done.
+	e.host.Start(nodes, k.doneF)
+	for i := range k.doneF {
 		if !k.doneF[i] && k.deadAt[i] >= 1 {
 			k.notDone++
 		}
@@ -306,7 +306,9 @@ func (e *Engine) newKernel() *kernel {
 	w := e.effectiveWorkers(n)
 	k.shards = make([]shard, w)
 	for s := 0; s < w; s++ {
-		k.shards[s] = shard{lo: s * n / w, hi: (s + 1) * n / w}
+		sh := &k.shards[s]
+		sh.lo, sh.hi = s*n/w, (s+1)*n/w
+		sh.batch = Batch{k: k, sh: sh}
 	}
 	return k
 }
@@ -411,11 +413,16 @@ func (k *kernel) run(maxRounds int) Result {
 	clk.start()
 	for round := 1; round <= maxRounds; round++ {
 		// Scheduled failures fire first and are traced even if this very
-		// round quiesces (reference semantics).
+		// round quiesces (reference semantics). A dead node's action slot
+		// is zeroed once, here: hosts never Put for it again, and resolve
+		// must see it asleep.
 		for _, id := range k.sched.NodeFails(round) {
 			e.emit(Event{Round: round, Kind: EvNodeFail, Node: id})
-			if i, ok := k.idx[id]; ok && !k.doneF[i] {
-				k.notDone--
+			if i, ok := k.idx[id]; ok {
+				k.actions[i] = Action{}
+				if !k.doneF[i] {
+					k.notDone--
+				}
 			}
 		}
 		for _, lk := range k.sched.LinkFails(round) {
@@ -477,11 +484,19 @@ func (k *kernel) run(maxRounds int) Result {
 		k.phase(opDeliver, round)
 		clk.lap(&k.perfPhaseNs[perfDeliver])
 
-		// Serial stitch C: sink the stamped rx buffers, refresh quiescence.
+		// Serial stitch C: sink the stamped rx buffers, refresh quiescence,
+		// and schedule the nodes the host reported crashed to die at the
+		// start of the next round.
 		for s := range k.shards {
 			sh := &k.shards[s]
 			e.sinkBatch(sh.evRx)
 			k.notDone -= sh.newlyDone
+			for _, i := range sh.crashed {
+				k.sched.Kill(k.nodes[i], round+1)
+				if round+1 < k.deadAt[i] {
+					k.deadAt[i] = round + 1
+				}
+			}
 		}
 		res.Rounds = round
 		k.roundsDone = round
@@ -547,42 +562,18 @@ func (k *kernel) buildTxBits() {
 	}
 }
 
-// act is the first shard phase: collect every live node's action for the
-// round, record transmitter indices for the bitset build, and (traced runs)
-// stage transmit events for the stitch.
+// act is the first shard phase: reset the shard's round scratch and let
+// the host collect every live node's action (Batch.Put records transmitter
+// indices for the bitset build and, in traced runs, stages transmit events
+// for the stitch).
 //
 //dynlint:shardsafe act runs concurrently per shard
-//dynlint:hotpath per node per round
 func (k *kernel) act(sh *shard, round int) {
 	sh.txIdx = sh.txIdx[:0]
 	sh.evAct = sh.evAct[:0]
-	for i := sh.lo; i < sh.hi; i++ {
-		if round >= k.deadAt[i] {
-			k.actions[i] = Action{}
-			continue
-		}
-		id := k.nodes[i]
-		a := k.progs[i].Act(round + k.skews[i])
-		switch a.Kind {
-		case Sleep:
-			// no cost
-		case Listen:
-			k.awake[i]++
-			k.listens[i]++
-		case Transmit:
-			k.awake[i]++
-			k.transmits[i]++
-			a.Msg.From = id
-			sh.txIdx = append(sh.txIdx, int32(i))
-			if k.traced {
-				sh.evAct = append(sh.evAct, Event{Round: round, Kind: EvTransmit, Node: id, Channel: a.Channel, Msg: a.Msg})
-			}
-		default:
-			//lint:ignore dynlint/panics a Program returning an undefined ActionKind is a protocol bug, not an input; failing loud beats mis-accounting energy
-			panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", id, a.Kind))
-		}
-		k.actions[i] = a
-	}
+	sh.crashed = sh.crashed[:0]
+	sh.batch.round = round
+	k.e.host.Act(&sh.batch)
 }
 
 // resolve is the second shard phase: stamp the shard's transmit events from
@@ -603,6 +594,7 @@ func (k *kernel) resolve(sh *shard, round int) {
 	e := k.e
 	hasLinkFails := len(e.linkFail) > 0
 	lossy := e.lossRate > 0
+	cut := e.parts.Active(round)
 	for i := sh.lo; i < sh.hi; i++ {
 		a := &k.actions[i]
 		if a.Kind != Listen {
@@ -665,6 +657,24 @@ func (k *kernel) resolve(sh *shard, round int) {
 				sh.cand = append(sh.cand, j)
 			}
 		}
+		// Partition windows: cut-off candidates become losses in ascending
+		// candidate order, before any coin is drawn (rounds.Partitions).
+		if cut {
+			kept := 0
+			for _, j := range sh.cand {
+				if !e.parts.Cuts(round, id, k.nodes[j]) {
+					sh.cand[kept] = j
+					kept++
+					continue
+				}
+				sh.nLoss++
+				sh.nRx++
+				if k.traced {
+					sh.evRx = append(sh.evRx, Event{Round: round, Kind: EvLoss, Node: id, Peer: k.nodes[j], Channel: ch, Msg: k.actions[j].Msg})
+				}
+			}
+			sh.cand = sh.cand[:kept]
+		}
 		if len(sh.cand) == 0 {
 			continue
 		}
@@ -696,7 +706,7 @@ func (k *kernel) resolve(sh *shard, round int) {
 			if k.traced {
 				sh.evRx = append(sh.evRx, Event{Round: round, Kind: EvDeliver, Node: id, Peer: k.nodes[first], Channel: ch, Msg: msg})
 			}
-			sh.deliv = append(sh.deliv, deliverRec{node: int32(i), msg: msg})
+			sh.deliv = append(sh.deliv, Delivery{Index: int32(i), Msg: msg})
 		case rounds.Collided:
 			sh.nCol++
 			sh.nRx++
@@ -708,27 +718,14 @@ func (k *kernel) resolve(sh *shard, round int) {
 }
 
 // deliverAndDone is the third shard phase: stamp the shard's rx events from
-// their stitched base, hand resolve's deliveries to the shard's Programs
-// (every delivery's listener is inside the shard by construction), and
-// refresh the quiescence counter.
+// their stitched base, then let the host hand resolve's deliveries to the
+// shard's nodes and report Done transitions for the quiescence counter.
 //
 //dynlint:shardsafe deliverAndDone runs concurrently per shard
-//dynlint:hotpath per node per round
 func (k *kernel) deliverAndDone(sh *shard, round int) {
 	stampSeq(sh.evRx, sh.rxBase)
-	for _, d := range sh.deliv {
-		k.progs[d.node].Deliver(round+k.skews[d.node], d.msg)
-	}
 	sh.newlyDone = 0
-	for i := sh.lo; i < sh.hi; i++ {
-		if k.doneF[i] || round >= k.deadAt[i] {
-			continue
-		}
-		if k.progs[i].Done() {
-			k.doneF[i] = true
-			sh.newlyDone++
-		}
-	}
+	k.e.host.Finish(&sh.batch)
 }
 
 // fill converts the dense per-node counters into the Result maps with the

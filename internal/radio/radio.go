@@ -9,18 +9,20 @@
 //   - k radio channels are supported (the paper's multi-channel extension);
 //   - energy is accounted as awake rounds (listen + transmit), matching the
 //     paper's energy metric;
-//   - node and link failures can be injected at chosen rounds for the
-//     robustness experiments.
+//   - node and link failures can be injected at chosen rounds, and
+//     partitions can silence a cut for a round window, for the robustness
+//     experiments.
 //
 // Protocols are written as per-node Programs; the engine drives them and
 // measures what actually happened, so broadcast completion times, awake
 // counts and collision counts in the experiment harness are observations,
-// not formulas.
+// not formulas. The nodes are in-process Programs (NewEngine) or any other
+// NodeHost (NewHostedEngine) — internal/dist's remote actor fleets — on the
+// same round loop.
 package radio
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"dynsens/internal/graph"
@@ -231,19 +233,20 @@ func (r Result) MeanAwake() float64 {
 
 // linkKey is the normalized undirected link key; it is the rounds package's
 // Link so the engine's failure maps feed rounds.NewSchedule without
-// conversion (the schedule is the shared failure semantics of the kernel
-// and the distributed coordinator).
+// conversion.
 type linkKey = rounds.Link
 
 func mkLink(u, v graph.NodeID) linkKey { return rounds.MkLink(u, v) }
 
-// Engine drives a set of Programs over a graph.
+// Engine drives a set of nodes over a graph.
 type Engine struct {
 	g          *graph.Graph
-	programs   map[graph.NodeID]Program
-	nodeFail   map[graph.NodeID]int // node -> round it dies (inclusive)
-	linkFail   map[linkKey]int      // link -> round it is cut (inclusive)
-	skew       map[graph.NodeID]int // node -> local clock offset in rounds
+	host       NodeHost
+	programs   map[graph.NodeID]Program // in-process engines only (RunReference)
+	parts      *rounds.Partitions       // healable partition windows; nil = none
+	nodeFail   map[graph.NodeID]int     // node -> round it dies (inclusive)
+	linkFail   map[linkKey]int          // link -> round it is cut (inclusive)
+	skew       map[graph.NodeID]int     // node -> local clock offset in rounds
 	trace      func(Event)
 	traceBatch func([]Event)
 	one        [1]Event // reusable single-event batch for emit
@@ -269,13 +272,23 @@ func NewEngine(g *graph.Graph, programs map[graph.NodeID]Program) (*Engine, erro
 	if len(programs) != g.NumNodes() {
 		return nil, fmt.Errorf("radio: %d programs for %d nodes", len(programs), g.NumNodes())
 	}
+	e := NewHostedEngine(g, &programHost{programs: programs})
+	e.programs = programs
+	return e, nil
+}
+
+// NewHostedEngine builds an engine over g whose nodes live behind host —
+// the seam a distributed runtime plugs its fleet into. Run drives them
+// exactly as it drives in-process Programs; RunReference needs in-process
+// Programs and is only available on NewEngine engines.
+func NewHostedEngine(g *graph.Graph, host NodeHost) *Engine {
 	return &Engine{
 		g:        g,
-		programs: programs,
+		host:     host,
 		nodeFail: make(map[graph.NodeID]int),
 		linkFail: make(map[linkKey]int),
 		skew:     make(map[graph.NodeID]int),
-	}, nil
+	}
 }
 
 // SetTrace installs a per-event trace callback (nil disables it). The
@@ -329,16 +342,10 @@ func (e *Engine) SetLoss(rate float64, seed int64) error {
 	return nil
 }
 
-// SetLossRand is SetLoss for callers that thread one seeded *rand.Rand
-// through several randomized components: it consumes a single Uint64 from
-// rng to key the engine's counter streams, leaving the rest of the caller's
-// stream untouched.
-func (e *Engine) SetLossRand(rate float64, rng *rand.Rand) error {
-	if rng == nil {
-		return fmt.Errorf("radio: nil rand source")
-	}
-	return e.SetLoss(rate, int64(rng.Uint64()))
-}
+// SetPartitions scripts healable partitions (see rounds.Partition): while
+// a window is up, a listener does not hear transmitters on the other side
+// of its cut, and each swallowed frame is traced as an EvLoss.
+func (e *Engine) SetPartitions(ps []rounds.Partition) { e.parts = rounds.NewPartitions(ps) }
 
 func (e *Engine) nodeAlive(id graph.NodeID, round int) bool {
 	r, ok := e.nodeFail[id]
@@ -485,15 +492,12 @@ func (e *Engine) RunReference(maxRounds int) Result {
 				continue
 			}
 			// Loss coins come from the listener's (seed, id, round) counter
-			// stream, one draw per reachable candidate in ascending
+			// stream, one draw per audible candidate in ascending
 			// transmitter order. That order — not the draw site — is the
-			// contract every round driver reproduces (see
-			// internal/radio/rounds).
-			var st rounds.LossStream
-			if e.lossRate > 0 {
-				st = rounds.NewLossStream(e.lossSeed, id, round)
-			}
-			var heard []tx
+			// contract the kernel reproduces (see internal/radio/rounds).
+			// Partition windows drop their cut-off frames first, as losses,
+			// before any coin is drawn.
+			var audible []tx
 			for _, t := range transmitters[ch] {
 				if t.from == id {
 					continue
@@ -504,6 +508,19 @@ func (e *Engine) RunReference(maxRounds int) Result {
 				if !e.linkAlive(id, t.from, round) {
 					continue
 				}
+				if e.parts.Cuts(round, id, t.from) {
+					res.Losses++
+					e.emit(Event{Round: round, Kind: EvLoss, Node: id, Peer: t.from, Channel: ch, Msg: t.msg})
+					continue
+				}
+				audible = append(audible, t)
+			}
+			var st rounds.LossStream
+			if e.lossRate > 0 {
+				st = rounds.NewLossStream(e.lossSeed, id, round)
+			}
+			var heard []tx
+			for _, t := range audible {
 				if e.lossRate > 0 && st.Next() < e.lossRate {
 					res.Losses++
 					e.emit(Event{Round: round, Kind: EvLoss, Node: id, Peer: t.from, Channel: ch, Msg: t.msg})

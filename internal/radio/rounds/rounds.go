@@ -1,13 +1,12 @@
 // Package rounds is the transport-agnostic core of the radio model's round
 // semantics: the counter-based loss coins, the single-listener collision
-// resolution rule, and the failure schedule. Both round drivers consume it —
-// the in-process three-phase kernel (internal/radio, kernel.go) and the
-// distributed coordinator (internal/dist) — so a kernel run and a
-// message-passing run of the same seed and scenario resolve every round
-// identically, coin for coin and event for event. The package deliberately
-// depends only on internal/graph: it must be linkable into a node host or a
-// coordinator without dragging in the engine, the trace sinks, or any
-// transport.
+// resolution rule, the failure schedule, and healable partition windows.
+// The executable spec (radio.Engine.RunReference) and the one round loop
+// (the three-phase kernel in internal/radio, kernel.go) both consume it, so
+// they resolve every round identically, coin for coin and event for event —
+// whether the kernel's nodes are in-process Programs or remote actors
+// behind internal/dist's frame barriers. The package deliberately depends
+// only on internal/graph.
 package rounds
 
 import "dynsens/internal/graph"
@@ -15,13 +14,12 @@ import "dynsens/internal/graph"
 // Counter-based loss streams.
 //
 // The loss model needs one coin per (listener, transmitter, round) frame,
-// drawn identically by every round driver: the reference loop, the kernel at
-// any worker count, and the distributed coordinator. A single shared
-// *rand.Rand forces a global draw order — that was the kernel's serial merge
-// wall — so coins instead come from splitmix64 counter streams keyed by
-// (lossSeed, listener, round): any shard (or any coordinator) can compute
-// any listener's coins locally, with zero cross-shard ordering dependency,
-// and every driver consumes each stream in the same in-stream order
+// drawn identically by the reference loop and by the kernel at any worker
+// count. A single shared *rand.Rand forces a global draw order — that was
+// the kernel's serial merge wall — so coins instead come from splitmix64
+// counter streams keyed by (lossSeed, listener, round): any shard can
+// compute any listener's coins locally, with zero cross-shard ordering
+// dependency, and both drivers consume each stream in the same in-stream order
 // (ascending candidate-transmitter order, the reference loop's order).
 // Streams for different (listener, round) pairs never interact, so the
 // scheme is deterministic per seed by construction rather than by

@@ -150,39 +150,21 @@ func TestScheduleBuckets(t *testing.T) {
 	if got := s.NodeFails(1); len(got) != 0 {
 		t.Fatalf("NodeFails(1) = %v, want empty", got)
 	}
-	// Round 0 deaths are dead-from-start: no bucket, but not alive either.
+	// Round 0 deaths and cuts are dead-from-start: no bucket, no event.
 	if got := s.NodeFails(0); len(got) != 0 {
 		t.Fatalf("NodeFails(0) = %v, want empty (no event for pre-run deaths)", got)
 	}
-	if s.NodeAlive(7, 1) {
-		t.Fatal("node 7 (dead at round 0) reported alive in round 1")
+	if got := s.LinkFails(-1); len(got) != 0 {
+		t.Fatalf("LinkFails(-1) = %v, want empty (no event for pre-run cuts)", got)
 	}
-	if !s.NodeAlive(4, 2) || s.NodeAlive(4, 3) {
-		t.Fatal("node 4 aliveness wrong around its round-3 death")
-	}
-	if !s.NodeAlive(100, 1000) {
-		t.Fatal("unscheduled node reported dead")
+	if got := s.NodeFails(5); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("NodeFails(5) = %v, want [9]", got)
 	}
 	if got := s.LinkFails(2); len(got) != 2 || got[0] != MkLink(1, 2) || got[1] != MkLink(1, 3) {
 		t.Fatalf("LinkFails(2) = %v, want [{1 2} {1 3}]", got)
 	}
-	if !s.LinkAlive(3, 1, 1) || s.LinkAlive(1, 3, 2) {
-		t.Fatal("link {1,3} aliveness wrong around its round-2 cut")
-	}
-	if s.LinkAlive(6, 5, 1) {
-		t.Fatal("link {5,6} (cut before the run) reported alive")
-	}
-	if !s.HasLinkFails() {
-		t.Fatal("HasLinkFails false with cuts scheduled")
-	}
-	if !NewSchedule(nil, nil).NodeAlive(1, 1) || NewSchedule(nil, nil).HasLinkFails() {
+	if empty := NewSchedule(nil, nil); len(empty.NodeFails(1)) != 0 || len(empty.LinkFails(1)) != 0 {
 		t.Fatal("empty schedule misbehaves")
-	}
-	if r, ok := s.DeathRound(9); !ok || r != 5 {
-		t.Fatalf("DeathRound(9) = %d, %v", r, ok)
-	}
-	if _, ok := s.DeathRound(100); ok {
-		t.Fatal("DeathRound invented a death")
 	}
 }
 
@@ -200,15 +182,51 @@ func TestScheduleKill(t *testing.T) {
 	if got := s.NodeFails(8); len(got) != 0 {
 		t.Fatalf("node 5 still in its old bucket: %v", got)
 	}
-	if r, _ := s.DeathRound(5); r != 6 {
-		t.Fatalf("DeathRound(5) = %d, want 6", r)
+	if got := s.NodeFails(6); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("NodeFails(6) = %v, want [5]", got)
 	}
-	// Later death is a no-op.
+	// Later (or equal) death is a no-op.
 	s.Kill(5, 9)
-	if r, _ := s.DeathRound(5); r != 6 {
-		t.Fatalf("Kill moved a death later: DeathRound(5) = %d", r)
+	s.Kill(5, 6)
+	if got := s.NodeFails(9); len(got) != 0 {
+		t.Fatalf("Kill moved a death later: NodeFails(9) = %v", got)
 	}
-	if s.NodeAlive(5, 6) || !s.NodeAlive(5, 5) {
-		t.Fatal("node 5 aliveness wrong after Kill")
+	if got := s.NodeFails(6); len(got) != 1 {
+		t.Fatalf("NodeFails(6) = %v after repeated kills, want [5]", got)
+	}
+}
+
+func TestPartitions(t *testing.T) {
+	var none *Partitions
+	if NewPartitions(nil) != nil || none.Active(1) || none.Cuts(1, 0, 1) {
+		t.Fatal("empty partition script suppresses something")
+	}
+	p := NewPartitions([]Partition{
+		{From: 2, To: 3, Side: []graph.NodeID{0, 1}},
+		{From: 5, To: 5, Side: []graph.NodeID{7}},
+	})
+	for r, want := range map[int]bool{1: false, 2: true, 3: true, 4: false, 5: true, 6: false} {
+		if p.Active(r) != want {
+			t.Errorf("Active(%d) = %v, want %v", r, !want, want)
+		}
+	}
+	cases := []struct {
+		r    int
+		u, v graph.NodeID
+		want bool
+	}{
+		{2, 0, 2, true},  // across the first cut
+		{3, 2, 1, true},  // either direction
+		{2, 0, 1, false}, // same side
+		{2, 2, 3, false}, // same (outer) side
+		{4, 0, 2, false}, // healed
+		{5, 7, 0, true},  // second window
+		{5, 0, 2, false}, // first window is down
+		{1, 7, 0, false}, // before any window
+	}
+	for _, c := range cases {
+		if got := p.Cuts(c.r, c.u, c.v); got != c.want {
+			t.Errorf("Cuts(%d, %d, %d) = %v, want %v", c.r, c.u, c.v, got, c.want)
+		}
 	}
 }

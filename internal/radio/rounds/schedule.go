@@ -20,15 +20,13 @@ func MkLink(u, v graph.NodeID) Link {
 // Schedule is the failure schedule of a run — which nodes die and which
 // links are cut, at the start of which round — bucketed by round so a round
 // with no failures costs one map lookup instead of a rescan, with the
-// per-round buckets sorted for deterministic event emission. Both round
-// drivers build one from the same FailNodeAt/FailLinkAt inputs; the
-// distributed coordinator additionally grows it at run time via Kill when a
-// node misses a round barrier (timeout or transport death), which keeps
-// nemesis-induced crashes on exactly the kernel's failure-schedule
-// semantics.
+// per-round buckets sorted for deterministic event emission. The kernel
+// builds one from the FailNodeAt/FailLinkAt inputs and grows it at run time
+// via Kill when a node host reports a node crashed mid-round (a remote node
+// that missed a barrier or died), which keeps such crashes on exactly the
+// failure-schedule semantics of a scripted death.
 type Schedule struct {
 	nodeFail map[graph.NodeID]int
-	linkFail map[Link]int
 	nodeAt   map[int][]graph.NodeID
 	linkAt   map[int][]Link
 }
@@ -40,7 +38,6 @@ type Schedule struct {
 func NewSchedule(nodeFail map[graph.NodeID]int, linkFail map[Link]int) *Schedule {
 	s := &Schedule{
 		nodeFail: make(map[graph.NodeID]int, len(nodeFail)),
-		linkFail: make(map[Link]int, len(linkFail)),
 		nodeAt:   make(map[int][]graph.NodeID, len(nodeFail)),
 		linkAt:   make(map[int][]Link, len(linkFail)),
 	}
@@ -51,7 +48,6 @@ func NewSchedule(nodeFail map[graph.NodeID]int, linkFail map[Link]int) *Schedule
 		}
 	}
 	for lk, r := range linkFail {
-		s.linkFail[lk] = r
 		if r >= 1 {
 			s.linkAt[r] = append(s.linkAt[r], lk)
 		}
@@ -77,35 +73,11 @@ func (s *Schedule) NodeFails(r int) []graph.NodeID { return s.nodeAt[r] }
 // (U, V).
 func (s *Schedule) LinkFails(r int) []Link { return s.linkAt[r] }
 
-// NodeAlive reports whether id is alive during round r (alive iff r
-// precedes its failure round).
-func (s *Schedule) NodeAlive(id graph.NodeID, r int) bool {
-	fr, ok := s.nodeFail[id]
-	return !ok || r < fr
-}
-
-// LinkAlive reports whether the link {u, v} is intact during round r.
-func (s *Schedule) LinkAlive(u, v graph.NodeID, r int) bool {
-	fr, ok := s.linkFail[MkLink(u, v)]
-	return !ok || r < fr
-}
-
-// HasLinkFails reports whether any link cut is scheduled at all, so hot
-// resolve loops can skip the per-candidate LinkAlive lookup entirely on the
-// common cut-free run.
-func (s *Schedule) HasLinkFails() bool { return len(s.linkFail) > 0 }
-
-// DeathRound returns the round id dies, if a death is scheduled.
-func (s *Schedule) DeathRound(id graph.NodeID) (int, bool) {
-	r, ok := s.nodeFail[id]
-	return r, ok
-}
-
 // Kill schedules id to die at the start of round r, unless an earlier (or
 // equal) death is already on record — the earliest death wins, like the
-// engine's FailNodeAt overwritten by a smaller round. Used by the
-// distributed coordinator to fold barrier timeouts and transport deaths
-// into the same schedule the scripted failures live in.
+// engine's FailNodeAt overwritten by a smaller round. Used by the kernel to
+// fold host-reported crashes into the same schedule the scripted failures
+// live in.
 func (s *Schedule) Kill(id graph.NodeID, r int) {
 	if old, ok := s.nodeFail[id]; ok {
 		if old <= r {

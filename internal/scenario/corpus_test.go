@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dynsens/internal/broadcast"
 )
 
 var update = flag.Bool("update", false, "refresh golden metrics/timeline sections in place")
@@ -37,7 +39,10 @@ func corpusFiles(t *testing.T, dir string) []string {
 // TestScenarioCorpus runs every positive scenario through the live stack
 // with record/replay verification on: all assertions must hold, the
 // recording must pass the offline verifier, and the offline re-evaluation
-// must agree with the live run. -update refreshes goldens in place.
+// must agree with the live run. Every flight-capable scenario also runs on
+// the other runtime (kernel ↔ dist on the default goroutine fleet), which
+// must measure the same and record the same bytes — the cross-runtime
+// oracle over the whole corpus. -update refreshes goldens in place.
 func TestScenarioCorpus(t *testing.T) {
 	var files []string
 	files = append(files, corpusFiles(t, filepath.Join("..", "..", "testdata", "scenarios", "positive"))...)
@@ -66,6 +71,22 @@ func TestScenarioCorpus(t *testing.T) {
 			}
 			if !res.Passed() {
 				t.Fatalf("scenario failed:\n%s", report.String())
+			}
+			if opts.Verify && !*update {
+				other := broadcast.RuntimeDist
+				if s.Spec.Runtime == broadcast.RuntimeDist {
+					other = broadcast.RuntimeKernel
+				}
+				alt, err := Run(s, RunOptions{Verify: true, Runtime: other})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if alt.Measured != res.Measured {
+					t.Errorf("runtime %s measures differently:\n got %+v\nwant %+v", other, alt.Measured, res.Measured)
+				}
+				if !bytes.Equal(alt.Recording, res.Recording) {
+					t.Errorf("runtime %s records different bytes (%d vs %d)", other, len(alt.Recording), len(res.Recording))
+				}
 			}
 			if *update && res.Updated != nil {
 				if werr := os.WriteFile(path, res.Updated, 0o644); werr != nil {

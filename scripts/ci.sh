@@ -109,7 +109,9 @@ echo "== dist runtime smoke"
 # (docs/architecture.md, "Distributed runtime"): run one corpus scenario
 # under all three transports — in-process kernel, goroutine fleet, and one
 # OS process per node via dnode — and require identical .dsfr recordings,
-# then replay-verify the distributed recording offline like any other.
+# then replay-verify the distributed recording offline like any other. The
+# goroutine fleet runs a second time at four engine workers, where shards
+# drive their own node ranges' frame barriers concurrently.
 go build -o "$replay_dir/dynsim" ./cmd/dynsim
 go build -o "$replay_dir/dnode" ./cmd/dnode
 dist_dsn=testdata/scenarios/positive/dist-runtime-icff.dsn
@@ -117,12 +119,15 @@ dist_dsn=testdata/scenarios/positive/dist-runtime-icff.dsn
     -record "$replay_dir/dist_kernel.dsfr" > /dev/null
 "$replay_dir/dynsim" -scenario "$dist_dsn" -runtime dist \
     -record "$replay_dir/dist_local.dsfr" > /dev/null
+"$replay_dir/dynsim" -scenario "$dist_dsn" -runtime dist -workers 4 \
+    -record "$replay_dir/dist_local_w4.dsfr" > /dev/null
 "$replay_dir/dynsim" -scenario "$dist_dsn" -dnode "$replay_dir/dnode" \
     -record "$replay_dir/dist_proc.dsfr" > /dev/null
 cmp "$replay_dir/dist_kernel.dsfr" "$replay_dir/dist_local.dsfr"
+cmp "$replay_dir/dist_kernel.dsfr" "$replay_dir/dist_local_w4.dsfr"
 cmp "$replay_dir/dist_kernel.dsfr" "$replay_dir/dist_proc.dsfr"
 "$replay_dir/nettool" scenario verify "$dist_dsn" "$replay_dir/dist_proc.dsfr" > /dev/null
-echo "kernel / goroutine-fleet / process-fleet recordings byte-identical"
+echo "kernel / goroutine-fleet (1 and 4 workers) / process-fleet recordings byte-identical"
 
 echo "== dynlint"
 # All analyzers, the contract checkers (progpurity/shardsafe/hotalloc)
