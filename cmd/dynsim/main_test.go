@@ -13,7 +13,6 @@ import (
 	"dynsens/internal/core"
 	"dynsens/internal/flight"
 	"dynsens/internal/obs"
-	"dynsens/internal/workload"
 )
 
 // cfg returns the shared small scenario, customizable per test.
@@ -113,16 +112,12 @@ func TestMetricsReconcile(t *testing.T) {
 	got := parseProm(t, promPath)
 
 	// Re-run the identical scenario through the library.
-	d, err := workload.IncrementalConnected(workload.PaperConfig(c.Seed, c.Side, c.N))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := core.Build(d.Graph(), core.Config{})
+	net, _, err := core.Deploy(c.Side, c.N, c.Seed, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	m, err := net.Broadcast(net.Root(), broadcast.Options{Channels: c.Channels, Obs: reg})
+	m, err := broadcast.RunICFF(net.Slots(), net.Root(), broadcast.Options{Channels: c.Channels, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

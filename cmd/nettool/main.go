@@ -1,8 +1,9 @@
 // Command nettool builds a network and exports it: as indented JSON
 // (deployment geometry, cluster structure, time-slots, group lists) for
 // external tooling, or as an ASCII map of the field for a quick look. The
-// "metrics" subcommand instead runs one instrumented broadcast and renders
-// the resulting metrics snapshot as a table; the "replay" subcommand loads
+// "metrics" subcommand instead runs the scenario its flags describe
+// through the shared scenario runner with a metrics registry attached and
+// renders the snapshot as a table; the "replay" subcommand loads
 // a flight recording made with dynsim -record, re-checks the paper's
 // invariants offline, and can export Chrome trace-event JSON, render the
 // timeline, walk one message's causal span tree, or explain why a node
@@ -40,12 +41,10 @@ import (
 	"math/rand"
 	"os"
 
-	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
-	"dynsens/internal/graph"
 	"dynsens/internal/netio"
 	"dynsens/internal/obs"
-	"dynsens/internal/workload"
+	"dynsens/internal/scenario"
 )
 
 func main() {
@@ -94,7 +93,7 @@ func main() {
 			n        = fs.Int("n", 200, "number of nodes")
 			side     = fs.Int("side", 10, "region side in 100 m units")
 			seed     = fs.Int64("seed", 1, "deployment seed")
-			protocol = fs.String("protocol", "icff", "icff|cff|dfo")
+			protocol = fs.String("protocol", "icff", "scenario protocol: icff|cff|dfo|multicast|gather|discovery")
 			channels = fs.Int("channels", 1, "radio channels k")
 		)
 		// ExitOnError: Parse cannot return a non-nil error here.
@@ -126,15 +125,8 @@ func main() {
 }
 
 func run(n, side int, seed int64, groups int, jsonPath, dotPath, svgPath string, ascii bool, cols, rows int) error {
-	d, err := workload.IncrementalConnected(workload.PaperConfig(seed, side, n))
+	net, d, err := core.Deploy(side, n, seed, core.Config{})
 	if err != nil {
-		return err
-	}
-	net, err := core.Build(d.Graph(), core.Config{})
-	if err != nil {
-		return err
-	}
-	if err := net.Verify(); err != nil {
 		return err
 	}
 	if groups > 0 {
@@ -206,38 +198,25 @@ func run(n, side int, seed int64, groups int, jsonPath, dotPath, svgPath string,
 	return nil
 }
 
-// runMetrics builds a network, runs one fully instrumented broadcast, and
-// renders the snapshot as a human-readable table on w.
+// runMetrics runs the scenario the flags describe — through the shared
+// scenario runner, recorded and re-verified offline like every CLI run —
+// with a metrics registry attached, and renders the snapshot as a
+// human-readable table on w.
 func runMetrics(w io.Writer, n, side int, seed int64, protocol string, channels int) error {
-	d, err := workload.IncrementalConnected(workload.PaperConfig(seed, side, n))
+	s := &scenario.Scenario{Spec: scenario.Spec{
+		Name: "metrics", N: n, Side: side, Seed: seed, Protocol: protocol, Channels: channels, Joiner: -1,
+	}}
+	s, err := scenario.Parse(s.Format())
 	if err != nil {
-		return err
-	}
-	net, err := core.Build(d.Graph(), core.Config{})
-	if err != nil {
-		return err
-	}
-	if err := net.Verify(); err != nil {
 		return err
 	}
 	reg := obs.NewRegistry()
-	net.CNet().Instrument(reg)
-	net.Slots().Record(reg)
-
-	opts := broadcast.Options{Channels: channels, Obs: reg}
-	src := graph.NodeID(net.Root())
-	switch protocol {
-	case "icff":
-		_, err = net.Broadcast(src, opts)
-	case "cff":
-		_, err = net.BroadcastCFF(src, opts)
-	case "dfo":
-		_, err = net.BroadcastDFO(src, opts)
-	default:
-		return fmt.Errorf("unknown protocol %q (metrics supports icff|cff|dfo)", protocol)
-	}
+	res, err := scenario.Run(s, scenario.RunOptions{Obs: reg, Verify: scenario.FlightCapable(s.Spec.Protocol)})
 	if err != nil {
 		return err
+	}
+	if f := res.Failures(); len(f) > 0 {
+		return fmt.Errorf("scenario %s: %s", s.Name(), f[0])
 	}
 	return reg.Snapshot().WriteTable(w)
 }

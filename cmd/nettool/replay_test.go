@@ -11,18 +11,13 @@ import (
 	"dynsens/internal/core"
 	"dynsens/internal/flight"
 	"dynsens/internal/netio"
-	"dynsens/internal/workload"
 )
 
 // recordFixture writes a flight recording of one deterministic ICFF run to
 // a temp file and returns its path with the network it ran on.
 func recordFixture(t *testing.T, n int, seed int64, opts broadcast.Options) (string, *core.Network) {
 	t.Helper()
-	d, err := workload.IncrementalConnected(workload.PaperConfig(seed, 8, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := core.Build(d.Graph(), core.Config{})
+	net, _, err := core.Deploy(8, n, seed, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +34,7 @@ func recordFixture(t *testing.T, n int, seed int64, opts broadcast.Options) (str
 	})
 	netio.RecordTopology(fw, net)
 	opts.Flight = fw
-	if _, err := net.Broadcast(net.Root(), opts); err != nil {
+	if _, err := broadcast.RunICFF(net.Slots(), net.Root(), opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Close(); err != nil {

@@ -26,7 +26,11 @@ func runRecorded(t *testing.T, build func() (*Plan, *graph.Graph), opts Options,
 	fw.WriteHeader(flight.Header{Seed: 1, N: g.NumNodes(), Protocol: plan.Protocol,
 		LossRate: opts.LossRate, LossSeed: opts.LossSeed})
 	opts.Workers = workers
-	opts.Trace = func(ev radio.Event) { fmt.Fprintf(&traceBuf, "%+v\n", ev) }
+	opts.TraceBatch = func(evs []radio.Event) {
+		for _, ev := range evs {
+			fmt.Fprintf(&traceBuf, "%+v\n", ev)
+		}
+	}
 	opts.Flight = fw
 	m, err := plan.Run(g, opts)
 	if err != nil {

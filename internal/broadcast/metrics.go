@@ -59,13 +59,10 @@ type Options struct {
 	// recordings are byte-identical at any value; this only trades
 	// wall-clock time.
 	Workers int
-	// Trace receives engine events when non-nil.
-	Trace func(radio.Event)
 	// TraceBatch receives engine events in per-shard batches when non-nil
 	// (radio.Engine.SetTraceBatch): one call per shard buffer per phase
-	// per round, same events in the same deterministic order as Trace.
-	// The engine reuses the batch slice — copy events to retain them. May
-	// coexist with Trace; both see every event once.
+	// per round, in the deterministic event order. The engine reuses the
+	// batch slice — copy events to retain them.
 	TraceBatch func([]radio.Event)
 	// Obs, when non-nil, receives the run's instrumentation: radio event
 	// counters and awake histograms under a protocol label, plus the
@@ -276,13 +273,8 @@ func (p *Plan) Run(g *graph.Graph, opts Options) (Metrics, error) {
 	if opts.Obs != nil {
 		col = obs.NewRadioCollector(opts.Obs, obs.L("protocol", p.Protocol))
 	}
-	// Built-in consumers (obs collector, flight writer) ride the batched
-	// hook — one sink call per shard buffer per phase per round — so
-	// instrumentation stays off the per-event path; a caller's per-event
-	// Trace keeps its own slot and sees the same events in the same order.
-	if opts.Trace != nil {
-		eng.SetTrace(opts.Trace)
-	}
+	// The caller's hook, the obs collector and the flight writer share the
+	// batched hook — one sink call per shard buffer per phase per round.
 	batch := opts.TraceBatch
 	if col != nil {
 		batch = obs.ChainBatchHooks(batch, col.BatchHook())

@@ -24,9 +24,11 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/cnet"
 	"dynsens/internal/gather"
+	"dynsens/internal/geom"
 	"dynsens/internal/graph"
 	"dynsens/internal/multicast"
 	"dynsens/internal/timeslot"
+	"dynsens/internal/workload"
 )
 
 // Config tunes network construction.
@@ -81,6 +83,25 @@ func Build(g *graph.Graph, cfg Config) (*Network, error) {
 	}
 	n.structural = cost
 	return n, nil
+}
+
+// Deploy places n sensors on a side x side region of 100 m units with the
+// paper's incremental connected placement (seeded), self-organizes them
+// under cfg, and verifies every structural invariant. It is the one build
+// step of the experiment sweeps, the scenario runner and the CLIs.
+func Deploy(side, n int, seed int64, cfg Config) (*Network, *geom.Deployment, error) {
+	d, err := workload.IncrementalConnected(workload.PaperConfig(seed, side, n))
+	if err != nil {
+		return nil, nil, err
+	}
+	net, err := Build(d.Graph(), cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := net.Verify(); err != nil {
+		return nil, nil, fmt.Errorf("core: invariant violation (n=%d seed=%d): %w", n, seed, err)
+	}
+	return net, d, nil
 }
 
 // Root returns the sink.

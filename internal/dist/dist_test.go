@@ -107,21 +107,10 @@ func lineGraph(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-// collect captures both the per-event and the batched trace streams and
-// cross-checks them: concatenated batches must equal the per-event stream.
-type collect struct {
-	events  []radio.Event
-	batched []radio.Event
-}
+// collect captures the engine's trace stream.
+type collect struct{ events []radio.Event }
 
-func (c *collect) hook(ev radio.Event)     { c.events = append(c.events, ev) }
-func (c *collect) batch(evs []radio.Event) { c.batched = append(c.batched, evs...) }
-func (c *collect) check(t *testing.T) {
-	t.Helper()
-	if !reflect.DeepEqual(c.events, c.batched) {
-		t.Fatalf("batched trace diverges from per-event trace")
-	}
-}
+func (c *collect) hook(evs []radio.Event) { c.events = append(c.events, evs...) }
 
 // scenario configures one equivalence case; apply runs the same schedule
 // into the kernel engine and the distributed coordinator.
@@ -164,8 +153,7 @@ func (sc *scenario) runKernel(t *testing.T, progs map[graph.NodeID]radio.Program
 		t.Fatal(err)
 	}
 	var c collect
-	eng.SetTrace(c.hook)
-	eng.SetTraceBatch(c.batch)
+	eng.SetTraceBatch(c.hook)
 	for id, r := range sc.nodeFail {
 		eng.FailNodeAt(id, r)
 	}
@@ -180,9 +168,7 @@ func (sc *scenario) runKernel(t *testing.T, progs map[graph.NodeID]radio.Program
 			t.Fatal(err)
 		}
 	}
-	res := eng.Run(sc.maxRounds)
-	c.check(t)
-	return res, &c
+	return eng.Run(sc.maxRounds), &c
 }
 
 func (sc *scenario) runDist(t *testing.T, progs map[graph.NodeID]radio.Program) (radio.Result, *collect) {
@@ -193,8 +179,7 @@ func (sc *scenario) runDist(t *testing.T, progs map[graph.NodeID]radio.Program) 
 	}
 	defer coord.Close()
 	var c collect
-	coord.SetTrace(c.hook)
-	coord.SetTraceBatch(c.batch)
+	coord.SetTraceBatch(c.hook)
 	for id, r := range sc.nodeFail {
 		coord.FailNodeAt(id, r)
 	}
@@ -213,7 +198,6 @@ func (sc *scenario) runDist(t *testing.T, progs map[graph.NodeID]radio.Program) 
 	if err := coord.Err(); err != nil {
 		t.Fatalf("coordinator absorbed a fault on an undisturbed run: %v", err)
 	}
-	c.check(t)
 	return res, &c
 }
 
@@ -291,7 +275,7 @@ func TestBarrierTimeoutMatchesKernelCrash(t *testing.T) {
 	defer coord.Close()
 	coord.SetRoundTimeout(200 * time.Millisecond)
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if coord.Err() == nil {
 		t.Fatal("coordinator did not record the barrier timeout")
@@ -359,7 +343,7 @@ func TestNemesisPartitionHeals(t *testing.T) {
 				t.Fatal(err)
 			}
 			var c collect
-			eng.SetTrace(c.hook)
+			eng.SetTraceBatch(c.hook)
 			eng.SetPartitions([]rounds.Partition{{From: 2, To: 3, Side: []graph.NodeID{0}}})
 			res := eng.Run(6)
 			if coord != nil {
@@ -417,7 +401,7 @@ func TestTCPFleetMatchesKernel(t *testing.T) {
 	}
 	defer coord.Close()
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err != nil {
 		t.Fatal(err)
@@ -493,7 +477,7 @@ func TestProtocolViolationMatchesKernelCrash(t *testing.T) {
 	defer coord.Close()
 	coord.SetRoundTimeout(0)
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err == nil || !strings.Contains(err.Error(), "awaiting action") {
 		t.Fatalf("Err = %v, want the act-barrier protocol violation", err)
@@ -603,7 +587,7 @@ func TestProcFleetMatchesKernel(t *testing.T) {
 	}
 	coord.MirrorDeliveries(progs)
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err != nil {
 		t.Fatal(err)
@@ -647,7 +631,7 @@ func TestProcFleetNodeDeathMidRound(t *testing.T) {
 	defer coord.Close()
 	coord.SetRoundTimeout(5 * time.Second)
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if coord.Err() == nil {
 		t.Fatal("coordinator did not record the process death")

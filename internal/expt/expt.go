@@ -13,7 +13,6 @@
 package expt
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -21,13 +20,11 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/flight"
-	"dynsens/internal/geom"
 	"dynsens/internal/graph"
 	"dynsens/internal/netio"
 	"dynsens/internal/obs"
 	"dynsens/internal/radio"
 	"dynsens/internal/stats"
-	"dynsens/internal/workload"
 )
 
 // Metric names recorded by sweeps given Params.Obs.
@@ -131,31 +128,6 @@ func (p Params) seeds() []int64 {
 	return out
 }
 
-// BuildNetwork deploys one connected RGG point (the paper's incremental
-// placement on a side x side region of 100 m units), self-organizes it
-// under cfg, and verifies every structural invariant. It is the shared
-// build step of the sweeps here, the scenario runner and the CLIs.
-func BuildNetwork(side, n int, seed int64, cfg core.Config) (*core.Network, *geom.Deployment, error) {
-	d, err := workload.IncrementalConnected(workload.PaperConfig(seed, side, n))
-	if err != nil {
-		return nil, nil, err
-	}
-	net, err := core.Build(d.Graph(), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := net.Verify(); err != nil {
-		return nil, nil, fmt.Errorf("expt: invariant violation (n=%d seed=%d): %w", n, seed, err)
-	}
-	return net, d, nil
-}
-
-// buildNet constructs a verified network for one (size, seed) point.
-func buildNet(p Params, n int, seed int64) (*core.Network, error) {
-	net, _, err := BuildNetwork(p.Side, n, seed, core.Config{})
-	return net, err
-}
-
 // forEachPoint runs fn for every (size, seed) pair — in parallel up to
 // Params.Workers — and collects per-size sample maps keyed by metric name.
 // Samples within a size are ordered by seed index regardless of completion
@@ -200,7 +172,7 @@ func forEachPoint(p Params, fn func(net *core.Network, n int, seed int64) (map[s
 			if pointSecs != nil {
 				start = p.Now()
 			}
-			net, err := buildNet(p, pt.n, pt.seed)
+			net, _, err := core.Deploy(p.Side, pt.n, pt.seed, core.Config{})
 			if err != nil {
 				errs[i] = err
 			} else {

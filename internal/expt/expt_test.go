@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynsens/internal/broadcast"
+	"dynsens/internal/core"
 )
 
 func quick() Params { return Quick() }
@@ -389,7 +390,7 @@ func TestPaperScaleRange(t *testing.T) {
 	}
 	for _, tc := range []struct{ side, n int }{{8, 64}, {12, 720}} {
 		p := Params{Side: tc.side, Seeds: 1, BaseSeed: 9}
-		net, err := buildNet(p, tc.n, 9)
+		net, _, err := core.Deploy(p.Side, tc.n, 9, core.Config{})
 		if err != nil {
 			t.Fatalf("side=%d n=%d: %v", tc.side, tc.n, err)
 		}

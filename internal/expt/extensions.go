@@ -26,7 +26,7 @@ func MultiChannel(p Params, channels []int) (*stats.Table, error) {
 	for _, k := range channels {
 		var rounds, scheds, awakes []float64
 		for _, seed := range p.seeds() {
-			net, err := buildNet(p, n, seed)
+			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +64,7 @@ func Multicast(p Params, fracs []float64) (*stats.Table, error) {
 	for _, frac := range fracs {
 		var members, mcTx, bcTx, mcDone, bcDone, forced []float64
 		for _, seed := range p.seeds() {
-			net, err := buildNet(p, n, seed)
+			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -125,7 +125,7 @@ func Robustness(p Params, fracs []float64) (*stats.Table, error) {
 	for _, frac := range fracs {
 		var cffR, dfoR []float64
 		for _, seed := range p.seeds() {
-			net, err := buildNet(p, n, seed)
+			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +161,7 @@ func Reconfig(p Params) (*stats.Table, error) {
 	for _, n := range p.Sizes {
 		var inR, inS, outR, outS, bounds []float64
 		for _, seed := range p.seeds() {
-			net, err := buildNet(p, n, seed)
+			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -214,7 +214,7 @@ func Areas(p Params, sides []int) (*stats.Table, error) {
 		q.Side = side
 		var cff, dfo, size, height, dd, delta []float64
 		for _, seed := range q.seeds() {
-			net, err := buildNet(q, n, seed)
+			net, _, err := core.Deploy(q.Side, n, seed, core.Config{})
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynsens/internal/broadcast"
+	"dynsens/internal/core"
 	"dynsens/internal/stats"
 )
 
@@ -28,7 +29,7 @@ func Flooding(p Params, forwards []float64) (*stats.Table, error) {
 		rows[f] = &floodRow{}
 	}
 	for _, seed := range p.seeds() {
-		net, err := buildNet(p, n, seed)
+		net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 		if err != nil {
 			return nil, err
 		}

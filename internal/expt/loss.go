@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynsens/internal/broadcast"
+	"dynsens/internal/core"
 	"dynsens/internal/stats"
 )
 
@@ -21,7 +22,7 @@ func Loss(p Params, rates []float64) (*stats.Table, error) {
 	for _, rate := range rates {
 		var d1, d3, d6, r6 []float64
 		for _, seed := range p.seeds() {
-			net, err := buildNet(p, n, seed)
+			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dynsens/internal/broadcast"
+	"dynsens/internal/core"
 	"dynsens/internal/gather"
 	"dynsens/internal/graph"
 	"dynsens/internal/stats"
@@ -26,7 +27,7 @@ func Repair(p Params, fracs []float64) (*stats.Table, error) {
 	for _, frac := range fracs {
 		var detected, reattached, dropped, delivery, hbRounds []float64
 		for _, seed := range p.seeds() {
-			net, err := buildNet(p, n, seed)
+			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 			if err != nil {
 				return nil, err
 			}

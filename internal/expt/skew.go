@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynsens/internal/broadcast"
+	"dynsens/internal/core"
 	"dynsens/internal/graph"
 	"dynsens/internal/stats"
 )
@@ -25,7 +26,7 @@ func Skew(p Params, sigmas []int) (*stats.Table, error) {
 		del := make(map[int][]float64)
 		sch := make(map[int][]float64)
 		for _, seed := range p.seeds() {
-			net, err := buildNet(p, n, seed)
+			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 			if err != nil {
 				return nil, err
 			}

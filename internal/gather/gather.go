@@ -229,8 +229,9 @@ type Options struct {
 	// Workers sets the radio engine's shard-worker count (see
 	// radio.Engine.SetWorkers); 0 keeps the engine default.
 	Workers int
-	// Trace receives engine events.
-	Trace func(radio.Event)
+	// Trace receives engine events in per-shard batches
+	// (radio.Engine.SetTraceBatch); copy events to retain them.
+	Trace func([]radio.Event)
 	// Perf, when non-nil, collects kernel performance introspection for
 	// the run (radio.Engine.SetPerf); strictly read-only.
 	Perf *radio.Perf
@@ -291,9 +292,7 @@ func Run(net *cnet.CNet, sched *Schedule, values map[graph.NodeID]int64, opts Op
 	}
 	eng.SetWorkers(opts.Workers)
 	eng.SetPerf(opts.Perf)
-	if opts.Trace != nil {
-		eng.SetTrace(opts.Trace)
-	}
+	eng.SetTraceBatch(opts.Trace)
 	for _, f := range opts.Failures {
 		eng.FailNodeAt(f.Node, f.Round)
 	}

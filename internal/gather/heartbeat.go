@@ -42,9 +42,7 @@ func Heartbeat(net *cnet.CNet, sched *Schedule, opts Options) (HeartbeatReport, 
 		return HeartbeatReport{}, err
 	}
 	eng.SetWorkers(opts.Workers)
-	if opts.Trace != nil {
-		eng.SetTrace(opts.Trace)
-	}
+	eng.SetTraceBatch(opts.Trace)
 	for _, f := range opts.Failures {
 		eng.FailNodeAt(f.Node, f.Round)
 	}

@@ -127,7 +127,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestHeatSVGFromBroadcast(t *testing.T) {
 	net, d := setup(t)
 	rec := trace.NewRecorder(0)
-	m, err := net.Broadcast(net.Root(), broadcast.Options{Trace: rec.Hook()})
+	m, err := net.Broadcast(net.Root(), broadcast.Options{TraceBatch: rec.BatchHook()})
 	if err != nil || !m.Completed {
 		t.Fatalf("broadcast: %v %s", err, m)
 	}

@@ -38,13 +38,13 @@ func AwakeBuckets() []float64 { return ExpBuckets(1, 2, 13) }
 func RoundBuckets() []float64 { return ExpBuckets(1, 2, 13) }
 
 // RadioCollector counts radio-engine events into a registry. Install its
-// Hook with radio.Engine.SetTrace (or broadcast.Options.Trace) and call
-// ObserveResult once the run finishes. The same collector labels (for
-// example protocol="ICFF") aggregate across repeated runs. The engine
-// calls both hooks from a single goroutine (its serial stitch steps)
-// even when running with multiple shard workers, so the counters need no
-// coordination beyond the registry's own atomics and come out identical
-// at any worker count.
+// BatchHook with radio.Engine.SetTraceBatch (or broadcast.Options.Obs does
+// it for you) and call ObserveResult once the run finishes. The same
+// collector labels (for example protocol="ICFF") aggregate across repeated
+// runs. The engine calls the hook from a single goroutine (its serial
+// stitch steps) even when running with multiple shard workers, so the
+// counters need no coordination beyond the registry's own atomics and
+// come out identical at any worker count.
 type RadioCollector struct {
 	transmissions *Counter
 	deliveries    *Counter
@@ -71,30 +71,9 @@ func NewRadioCollector(reg *Registry, labels ...Label) *RadioCollector {
 	}
 }
 
-// Hook returns the trace callback that feeds the event counters.
-func (c *RadioCollector) Hook() func(radio.Event) {
-	return func(ev radio.Event) {
-		switch ev.Kind {
-		case radio.EvTransmit:
-			c.transmissions.Inc()
-		case radio.EvDeliver:
-			c.deliveries.Inc()
-		case radio.EvCollision:
-			c.collisions.Inc()
-		case radio.EvLoss:
-			c.losses.Inc()
-		case radio.EvNodeFail:
-			c.nodeFailures.Inc()
-		case radio.EvLinkFail:
-			c.linkFailures.Inc()
-		}
-	}
-}
-
-// BatchHook returns the batched trace callback for
-// radio.Engine.SetTraceBatch: it tallies one shard buffer locally and then
-// touches each counter's atomic once per batch instead of once per event.
-// Totals are identical to feeding Hook every event.
+// BatchHook returns the trace callback for radio.Engine.SetTraceBatch: it
+// tallies one shard buffer locally and then touches each counter's atomic
+// once per batch instead of once per event.
 func (c *RadioCollector) BatchHook() func([]radio.Event) {
 	return func(evs []radio.Event) {
 		var tx, del, col, loss, nf, lf int64
@@ -145,32 +124,10 @@ func (c *RadioCollector) ObserveResult(res radio.Result) {
 	c.rounds.Observe(float64(res.Rounds))
 }
 
-// ChainHooks composes trace callbacks left to right, skipping nils, so a
-// metrics collector can ride alongside a recorder or JSONL sink on the
-// engine's single trace slot.
-func ChainHooks(hooks ...func(radio.Event)) func(radio.Event) {
-	var live []func(radio.Event)
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(ev radio.Event) {
-		for _, h := range live {
-			h(ev)
-		}
-	}
-}
-
-// ChainBatchHooks is ChainHooks for batched callbacks: it composes
-// func([]radio.Event) hooks left to right, skipping nils. Consumers that
-// retain events must copy them — the engine reuses the batch slice.
+// ChainBatchHooks composes trace callbacks left to right, skipping nils,
+// so a metrics collector can ride alongside a recorder or JSONL sink on
+// the engine's single trace slot. Consumers that retain events must copy
+// them — the engine reuses the batch slice.
 func ChainBatchHooks(hooks ...func([]radio.Event)) func([]radio.Event) {
 	var live []func([]radio.Event)
 	for _, h := range hooks {

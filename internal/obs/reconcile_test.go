@@ -96,10 +96,10 @@ func TestEventSinkJSONLMatchesCounters(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewEventSink(&buf)
 	_, err := broadcast.RunICFF(a, a.Net().Root(), broadcast.Options{
-		Obs:      reg,
-		Trace:    sink.Hook(),
-		LossRate: 0.05,
-		LossSeed: 9,
+		Obs:        reg,
+		TraceBatch: sink.BatchHook(),
+		LossRate:   0.05,
+		LossSeed:   9,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,52 +44,10 @@ func NewEventSink(w io.Writer) *EventSink {
 	return &EventSink{w: w}
 }
 
-// Hook returns the callback to install with radio.Engine.SetTrace or
-// broadcast.Options.Trace.
-func (s *EventSink) Hook() func(radio.Event) {
-	return func(ev radio.Event) {
-		rec := EventRecord{
-			ESeq:    ev.Seq,
-			Round:   ev.Round,
-			Kind:    ev.Kind.String(),
-			Node:    int(ev.Node),
-			Channel: int(ev.Channel),
-		}
-		switch ev.Kind {
-		case radio.EvDeliver, radio.EvLinkFail, radio.EvLoss:
-			p := int(ev.Peer)
-			rec.Peer = &p
-		}
-		switch ev.Kind {
-		case radio.EvTransmit, radio.EvDeliver, radio.EvLoss:
-			rec.Seq = ev.Msg.Seq
-			rec.Src = int(ev.Msg.Src)
-			rec.Slot = ev.Msg.Slot
-			rec.Depth = ev.Msg.Depth
-			rec.Group = ev.Msg.Group
-		}
-		b, err := json.Marshal(rec)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.err != nil {
-			return
-		}
-		if err != nil {
-			s.err = err
-			return
-		}
-		if _, err := s.w.Write(append(b, '\n')); err != nil {
-			s.err = err
-			return
-		}
-		s.events++
-	}
-}
-
-// BatchHook returns the batched callback for radio.Engine.SetTraceBatch:
-// one shard buffer is marshaled into a single buffer and written under one
-// lock acquisition and one Write call, instead of one of each per event.
-// Output bytes are identical to feeding Hook every event.
+// BatchHook returns the callback for radio.Engine.SetTraceBatch or
+// broadcast.Options.TraceBatch: one shard buffer is marshaled into a
+// single buffer and written under one lock acquisition and one Write
+// call, instead of one of each per event.
 func (s *EventSink) BatchHook() func([]radio.Event) {
 	var buf []byte
 	return func(evs []radio.Event) {

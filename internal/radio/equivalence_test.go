@@ -91,8 +91,10 @@ func (s scenario) build(t testing.TB) *Engine {
 // event — Seq included — into a byte stream.
 func runTraced(eng *Engine, rounds int, reference bool) (Result, []byte) {
 	var buf bytes.Buffer
-	eng.SetTrace(func(ev Event) {
-		fmt.Fprintf(&buf, "%+v\n", ev)
+	eng.SetTraceBatch(func(evs []Event) {
+		for _, ev := range evs {
+			fmt.Fprintf(&buf, "%+v\n", ev)
+		}
 	})
 	if reference {
 		return eng.RunReference(rounds), buf.Bytes()

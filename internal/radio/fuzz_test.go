@@ -62,14 +62,16 @@ func FuzzEngineAccounting(f *testing.F) {
 			t.Fatal(err)
 		}
 		var txEvents, rxEvents, collEvents int
-		eng.SetTrace(func(ev Event) {
-			switch ev.Kind {
-			case EvTransmit:
-				txEvents++
-			case EvDeliver:
-				rxEvents++
-			case EvCollision:
-				collEvents++
+		eng.SetTraceBatch(func(evs []Event) {
+			for _, ev := range evs {
+				switch ev.Kind {
+				case EvTransmit:
+					txEvents++
+				case EvDeliver:
+					rxEvents++
+				case EvCollision:
+					collEvents++
+				}
 			}
 		})
 		res := eng.Run(horizon)

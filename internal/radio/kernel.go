@@ -239,7 +239,7 @@ func (e *Engine) newKernel() *kernel {
 		awake:     make([]int, n),
 		listens:   make([]int, n),
 		transmits: make([]int, n),
-		traced:    e.trace != nil || e.traceBatch != nil,
+		traced:    e.traceBatch != nil,
 		perfOn:    e.perf != nil,
 	}
 	for i, id := range nodes {

@@ -247,7 +247,6 @@ type Engine struct {
 	nodeFail   map[graph.NodeID]int     // node -> round it dies (inclusive)
 	linkFail   map[linkKey]int          // link -> round it is cut (inclusive)
 	skew       map[graph.NodeID]int     // node -> local clock offset in rounds
-	trace      func(Event)
 	traceBatch func([]Event)
 	one        [1]Event // reusable single-event batch for emit
 	seq        uint64   // monotonic Event.Seq counter
@@ -291,20 +290,13 @@ func NewHostedEngine(g *graph.Graph, host NodeHost) *Engine {
 	}
 }
 
-// SetTrace installs a per-event trace callback (nil disables it). The
-// callback runs on the engine's run goroutine, in the deterministic event
-// order, at any worker count.
-func (e *Engine) SetTrace(fn func(Event)) { e.trace = fn }
-
-// SetTraceBatch installs a batched trace callback (nil disables it): the
-// engine hands over contiguous runs of events — one call per shard buffer
-// per phase per round — instead of one call per event, which keeps
+// SetTraceBatch installs the trace callback (nil disables it): the engine
+// hands over contiguous runs of events — one call per shard buffer per
+// phase per round — instead of one call per event, which keeps
 // instrumentation off the per-event hot path. Batches arrive on the run
-// goroutine, already Seq-stamped, in the same deterministic global order
-// SetTrace observes; concatenating them reproduces the per-event stream
-// exactly. The slice is reused by the engine: consumers must copy events
-// they retain past the callback's return. Both hooks may be installed at
-// once; each sees every event exactly once.
+// goroutine, already Seq-stamped, in the deterministic global event order
+// at any worker count. The slice is reused by the engine: consumers must
+// copy events they retain past the callback's return.
 func (e *Engine) SetTraceBatch(fn func([]Event)) { e.traceBatch = fn }
 
 // FailNodeAt schedules node id to die at the start of round r (1-based);
@@ -360,9 +352,6 @@ func (e *Engine) linkAlive(u, v graph.NodeID, round int) bool {
 func (e *Engine) emit(ev Event) {
 	e.seq++
 	ev.Seq = e.seq
-	if e.trace != nil {
-		e.trace(ev)
-	}
 	if e.traceBatch != nil {
 		e.one[0] = ev
 		e.traceBatch(e.one[:])
@@ -370,19 +359,10 @@ func (e *Engine) emit(ev Event) {
 }
 
 // sinkBatch forwards one deterministic run of Seq-stamped events to the
-// installed hooks: the batch hook sees the whole slice once, the per-event
-// hook sees each event in order. The kernel calls this once per shard
-// buffer per phase per round from its serial stitch.
+// trace hook. The kernel calls this once per shard buffer per phase per
+// round from its serial stitch.
 func (e *Engine) sinkBatch(evs []Event) {
-	if len(evs) == 0 {
-		return
-	}
-	if e.trace != nil {
-		for i := range evs {
-			e.trace(evs[i])
-		}
-	}
-	if e.traceBatch != nil {
+	if len(evs) > 0 && e.traceBatch != nil {
 		e.traceBatch(evs)
 	}
 }

@@ -254,7 +254,7 @@ func TestTraceEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var evs []Event
-	e.SetTrace(func(ev Event) { evs = append(evs, ev) })
+	e.SetTraceBatch(func(batch []Event) { evs = append(evs, batch...) })
 	e.Run(2)
 	var sawTx, sawRx bool
 	for _, ev := range evs {

@@ -185,14 +185,16 @@ func TestEngineWorkersLargeSmoke(t *testing.T) {
 		h := fnv.New64a()
 		var rec [10]uint64
 		var buf [80]byte
-		eng.SetTrace(func(ev Event) {
-			rec = [10]uint64{ev.Seq, uint64(ev.Round), uint64(ev.Kind),
-				uint64(ev.Node), uint64(ev.Peer), uint64(ev.Channel),
-				uint64(ev.Msg.Seq), uint64(ev.Msg.Src), uint64(ev.Msg.From), uint64(ev.Msg.Slot)}
-			for i, v := range rec {
-				binary.LittleEndian.PutUint64(buf[i*8:], v)
+		eng.SetTraceBatch(func(evs []Event) {
+			for _, ev := range evs {
+				rec = [10]uint64{ev.Seq, uint64(ev.Round), uint64(ev.Kind),
+					uint64(ev.Node), uint64(ev.Peer), uint64(ev.Channel),
+					uint64(ev.Msg.Seq), uint64(ev.Msg.Src), uint64(ev.Msg.From), uint64(ev.Msg.Slot)}
+				for i, v := range rec {
+					binary.LittleEndian.PutUint64(buf[i*8:], v)
+				}
+				h.Write(buf[:])
 			}
-			h.Write(buf[:])
 		})
 		res := eng.Run(3)
 		return res, h.Sum64()

@@ -21,12 +21,12 @@ import (
 	"dynsens/internal/discovery"
 	"dynsens/internal/dist"
 	"dynsens/internal/energy"
-	"dynsens/internal/expt"
 	"dynsens/internal/flight"
 	"dynsens/internal/gather"
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
 	"dynsens/internal/netio"
+	"dynsens/internal/obs"
 	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 	"dynsens/internal/workload"
@@ -56,6 +56,21 @@ type RunOptions struct {
 	// goroutine per node behind an in-memory pipe). dynsim -dnode wires a
 	// dist.ProcFleet of cmd/dnode child processes here. Dist runtime only.
 	Fleet dist.Fleet
+	// Obs, when non-nil, receives the run's instrumentation: the built
+	// network's topology counters (cnet.CNet.Instrument) and slot gauges
+	// (timeslot.Assignment.Record), then the protocol's radio and
+	// broadcast series (broadcast.Options.Obs).
+	Obs *obs.Registry
+	// Perf, when non-nil, collects kernel performance introspection for
+	// the protocol run (radio.Engine.SetPerf). Strictly read-only.
+	Perf *radio.Perf
+	// TraceBatch, when non-nil, receives the protocol run's radio events
+	// in per-shard batches (radio.Engine.SetTraceBatch); copy events to
+	// retain them.
+	TraceBatch func([]radio.Event)
+	// RecordRing > 0 bounds the recording to the last RecordRing radio
+	// events; the header's RingLimit says so.
+	RecordRing int
 }
 
 // Result is one evaluated scenario run.
@@ -63,6 +78,9 @@ type Result struct {
 	Scenario *Scenario
 	Measured Measured
 	Bounds   Bounds
+	// Stats is the built network's structure, taken after the script's
+	// churn/mobility trace and before the protocol runs.
+	Stats core.Snapshot
 	// Outcomes holds one entry per assertion, plus golden comparisons and
 	// (with RunOptions.Verify) the flight verifier and replay-agreement
 	// outcomes.
@@ -98,12 +116,17 @@ func (r *Result) Failures() []Outcome {
 	return out
 }
 
-// Write renders the report: a summary line, one line per outcome, and the
-// verdict.
+// Write renders the report: a summary line of the measured metrics, one
+// line per outcome, and the verdict.
 func (r *Result) Write(w io.Writer) error {
 	m := r.Measured
-	if _, err := fmt.Fprintf(w, "scenario %s: %s rounds=%d/%d delivered=%d/%d collisions=%d tx=%d\n",
-		r.Scenario.Name(), m.Protocol, m.Rounds, m.ScheduleLen, m.Received, m.Audience, m.Collisions, m.Transmissions); err != nil {
+	awake := ""
+	if m.HasAwake {
+		awake = fmt.Sprintf(" max-awake=%d mean-awake=%.2f", m.MaxAwake, m.MeanAwake)
+	}
+	if _, err := fmt.Fprintf(w, "scenario %s: %s rounds=%d/%d delivered=%d/%d completion=%d%s collisions=%d tx=%d\n",
+		r.Scenario.Name(), m.Protocol, m.Rounds, m.ScheduleLen, m.Received, m.Audience,
+		m.CompletionRound, awake, m.Collisions, m.Transmissions); err != nil {
 		return err
 	}
 	failed := 0
@@ -244,7 +267,7 @@ func buildNet(s *Scenario, coreCfg core.Config) (*core.Network, error) {
 		}
 	} else {
 		var err error
-		if net, _, err = expt.BuildNetwork(sp.Side, sp.N, sp.Seed, coreCfg); err != nil {
+		if net, _, err = core.Deploy(sp.Side, sp.N, sp.Seed, coreCfg); err != nil {
 			return nil, err
 		}
 	}
@@ -286,30 +309,38 @@ func BuildPlan(s *Scenario) (*broadcast.Plan, *graph.Graph, error) {
 	if !net.Contains(sp.Source) {
 		return nil, nil, fmt.Errorf("scenario %s: source %d not in the network after the script", s.Name(), sp.Source)
 	}
-	var plan *broadcast.Plan
-	switch proto := sp.protocol(); proto {
-	case "icff":
-		plan, err = broadcast.ICFFPlan(net.Slots(), sp.Source, sp.channels(), nil, nil)
-	case "cff":
-		plan, err = broadcast.CFFPlan(net.Slots(), sp.Source, sp.channels())
-	case "dfo":
-		plan, err = broadcast.DFOPlan(net.CNet(), sp.Source)
-	case "multicast":
-		if err = joinGroups(net, sp); err != nil {
-			return nil, nil, err
-		}
-		plan, err = net.Groups().Plan(net.Slots(), sp.group(), sp.Source, sp.channels())
-	case "pflood":
-		plan, err = broadcast.PFloodPlan(net.Graph(), sp.Source, broadcast.PFloodOptions{
-			Seed: sp.Seed * 13, Forward: sp.Forward, MaxDelay: sp.MaxDelay,
-		})
-	default:
-		return nil, nil, fmt.Errorf("scenario %s: no distributed plan for protocol %q", s.Name(), proto)
-	}
+	plan, err := buildPlan(net, s)
 	if err != nil {
 		return nil, nil, err
 	}
 	return plan, net.Graph(), nil
+}
+
+// buildPlan is the one protocol switch of the plan-family protocols: the
+// live runner executes its plan with Plan.Run, and BuildPlan hands the
+// same plan to dnode workers, so coordinator and workers agree on every
+// Program. Multicast seeds the group membership first.
+func buildPlan(net *core.Network, s *Scenario) (*broadcast.Plan, error) {
+	sp := s.Spec
+	switch proto := sp.protocol(); proto {
+	case "icff":
+		return broadcast.ICFFPlan(net.Slots(), sp.Source, sp.channels(), nil, nil)
+	case "cff":
+		return broadcast.CFFPlan(net.Slots(), sp.Source, sp.channels())
+	case "dfo":
+		return broadcast.DFOPlan(net.CNet(), sp.Source)
+	case "multicast":
+		if err := joinGroups(net, sp); err != nil {
+			return nil, err
+		}
+		return net.Groups().Plan(net.Slots(), sp.group(), sp.Source, sp.channels())
+	case "pflood":
+		return broadcast.PFloodPlan(net.Graph(), sp.Source, broadcast.PFloodOptions{
+			Seed: sp.Seed * 13, Forward: sp.Forward, MaxDelay: sp.MaxDelay,
+		})
+	default:
+		return nil, fmt.Errorf("scenario %s: no broadcast plan for protocol %q", s.Name(), proto)
+	}
 }
 
 // Run executes the scenario through the live stack and evaluates its
@@ -346,7 +377,11 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	var buf bytes.Buffer
 	coreCfg := core.Config{}
 	if record {
-		fw = flight.NewWriter(&buf)
+		if opts.RecordRing > 0 {
+			fw = flight.NewRingWriter(&buf, opts.RecordRing)
+		} else {
+			fw = flight.NewWriter(&buf)
+		}
 		fw.WriteHeader(flight.Header{
 			Seed: sp.Seed, N: sp.N, Side: sp.Side, Channels: sp.channels(),
 			Source: sp.Source, Protocol: strings.ToUpper(proto),
@@ -363,12 +398,18 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	if !net.Contains(sp.Source) {
 		return nil, fmt.Errorf("scenario %s: source %d not in the network after the script", s.Name(), sp.Source)
 	}
+	if opts.Obs != nil {
+		net.CNet().Instrument(opts.Obs)
+		net.Slots().Record(opts.Obs)
+	}
+	res := &Result{Scenario: s, Stats: net.Stats()}
 
 	// Script-driven failure injection.
 	o := broadcast.Options{
 		Channels: sp.Channels, Workers: workers,
 		LossRate: sp.LossRate, LossSeed: sp.LossSeed,
 		Runtime: runtime, Fleet: opts.Fleet,
+		Obs: opts.Obs, Perf: opts.Perf, TraceBatch: opts.TraceBatch,
 	}
 	for _, st := range s.Script {
 		switch st.Verb {
@@ -377,7 +418,7 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 		case VerbCut:
 			o.LinkFailures = append(o.LinkFailures, broadcast.LinkFailure{A: st.Node, B: st.Peer, Round: st.Round})
 		case VerbFailFrac:
-			horizon := 2 * (net.Stats().BackboneSize - 1)
+			horizon := 2 * (res.Stats.BackboneSize - 1)
 			if horizon < 1 {
 				horizon = 1
 			}
@@ -400,11 +441,10 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	// Timeline capture, when the scenario pins a golden timeline.
 	var events []radio.Event
 	if s.GoldenTimeline != "" {
-		o.Trace = func(ev radio.Event) { events = append(events, ev) }
+		o.TraceBatch = obs.ChainBatchHooks(o.TraceBatch, func(evs []radio.Event) { events = append(events, evs...) })
 	}
 
-	res := &Result{Scenario: s}
-	m, err := runProtocol(net, s, o, workers, &events)
+	m, err := runProtocol(net, s, o)
 	if err != nil {
 		return nil, err
 	}
@@ -459,32 +499,12 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// runProtocol dispatches on the protocol family and maps its metrics into
-// the shared Measured shape.
-func runProtocol(net *core.Network, s *Scenario, o broadcast.Options, workers int, events *[]radio.Event) (Measured, error) {
+// runProtocol runs the spec's protocol — gather and discovery on their
+// own engines, everything else as the one broadcast plan — and maps its
+// metrics into the shared Measured shape.
+func runProtocol(net *core.Network, s *Scenario, o broadcast.Options) (Measured, error) {
 	sp := s.Spec
-	var bm broadcast.Metrics
-	var err error
 	switch sp.protocol() {
-	case "icff":
-		bm, err = net.Broadcast(sp.Source, o)
-	case "cff":
-		bm, err = net.BroadcastCFF(sp.Source, o)
-	case "dfo":
-		bm, err = net.BroadcastDFO(sp.Source, o)
-	case "multicast":
-		if err := joinGroups(net, sp); err != nil {
-			return Measured{}, err
-		}
-		bm, err = net.Multicast(sp.group(), sp.Source, o)
-	case "pflood":
-		plan, perr := broadcast.PFloodPlan(net.Graph(), sp.Source, broadcast.PFloodOptions{
-			Seed: sp.Seed * 13, Forward: sp.Forward, MaxDelay: sp.MaxDelay,
-		})
-		if perr != nil {
-			return Measured{}, perr
-		}
-		bm, err = plan.Run(net.Graph(), o)
 	case "gather":
 		values := make(map[graph.NodeID]int64)
 		for _, id := range net.CNet().Tree().Nodes() {
@@ -494,9 +514,9 @@ func runProtocol(net *core.Network, s *Scenario, o broadcast.Options, workers in
 		for _, f := range o.Failures {
 			gfails = append(gfails, gather.Failure{Node: f.Node, Round: f.Round})
 		}
-		gm, gerr := net.Gather(values, gather.Options{Failures: gfails, Workers: workers, Trace: o.Trace})
-		if gerr != nil {
-			return Measured{}, gerr
+		gm, err := net.Gather(values, gather.Options{Failures: gfails, Workers: o.Workers, Trace: o.TraceBatch, Perf: o.Perf})
+		if err != nil {
+			return Measured{}, err
 		}
 		return Measured{
 			Protocol:    "GATHER",
@@ -516,9 +536,9 @@ func runProtocol(net *core.Network, s *Scenario, o broadcast.Options, workers in
 		if !net.Contains(joiner) {
 			return Measured{}, fmt.Errorf("scenario %s: joiner %d not in the network", s.Name(), joiner)
 		}
-		dr, derr := discovery.Run(net.Graph(), joiner, discovery.Options{Seed: sp.Seed * 19, Workers: workers})
-		if derr != nil {
-			return Measured{}, derr
+		dr, err := discovery.Run(net.Graph(), joiner, discovery.Options{Seed: sp.Seed * 19, Workers: o.Workers})
+		if err != nil {
+			return Measured{}, err
 		}
 		audience := len(net.Graph().Neighbors(joiner))
 		return Measured{
@@ -527,9 +547,12 @@ func runProtocol(net *core.Network, s *Scenario, o broadcast.Options, workers in
 			Completed: dr.Complete, CompletionRound: dr.Rounds,
 			Collisions: dr.Collisions, Transmissions: dr.Transmissions,
 		}, nil
-	default:
-		return Measured{}, fmt.Errorf("scenario %s: unknown protocol %q", s.Name(), sp.Protocol)
 	}
+	plan, err := buildPlan(net, s)
+	if err != nil {
+		return Measured{}, err
+	}
+	bm, err := plan.Run(net.Graph(), o)
 	if err != nil {
 		return Measured{}, err
 	}

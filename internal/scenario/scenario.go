@@ -10,10 +10,12 @@
 // broadcast → radio stack and evaluates the assertions with structured
 // failure messages. The same runner backs three entry points: the go test
 // corpus walker (internal/scenario/corpus_test.go, with -update for
-// goldens), the dynsim -scenario / nettool scenario run|verify CLI paths,
-// and flight integration — every run can emit a .dsfr recording whose
-// offline re-verification (flight.Verify plus recording-based assertion
-// evaluation) must agree with the live run. See docs/scenarios.md.
+// goldens); every CLI simulation — dynsim (its flags are an in-memory
+// scenario; -scenario loads a file), nettool scenario run|verify and
+// nettool metrics; and flight integration — every run can emit a .dsfr
+// recording whose offline re-verification (flight.Verify plus
+// recording-based assertion evaluation) must agree with the live run. See
+// docs/scenarios.md.
 package scenario
 
 import (

@@ -5,6 +5,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dynsens/internal/cnet"
+	"dynsens/internal/flight"
+	"dynsens/internal/obs"
+	"dynsens/internal/radio"
 )
 
 // measuredFixture is a fully-populated live measurement for evaluator tests.
@@ -368,5 +373,70 @@ rounds <= theorem1
 		if !bytes.Equal(res.Recording, base.Recording) {
 			t.Errorf("recording differs at workers=%d: %d vs %d bytes", workers, len(res.Recording), len(base.Recording))
 		}
+	}
+}
+
+// TestRunSinks covers the RunOptions the CLIs attach: the registry gets
+// the structure and radio series, the trace hook sees every recorded
+// event, Perf counts the run and RecordRing bounds the recording — and
+// none of them changes what the run measures or records.
+func TestRunSinks(t *testing.T) {
+	run := func(body string, opts RunOptions) *Result {
+		t.Helper()
+		s, err := Parse([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	icff := "-- spec --\nn = 60\nside = 8\nseed = 1\n-- script --\nfailfrac 0.1\n"
+	plain := run(icff, RunOptions{Record: true})
+	reg := obs.NewRegistry()
+	perf := radio.NewPerf()
+	events := 0
+	sunk := run(icff, RunOptions{Record: true, Obs: reg, Perf: perf,
+		TraceBatch: func(evs []radio.Event) { events += len(evs) }})
+	if sunk.Measured != plain.Measured || !bytes.Equal(sunk.Recording, plain.Recording) {
+		t.Fatal("attaching sinks changed the run")
+	}
+	if sunk.Stats != plain.Stats || sunk.Stats.Nodes != 60 {
+		t.Fatalf("stats = %+v, want 60 nodes and equal across runs", sunk.Stats)
+	}
+	rec, err := flight.DecodeBytes(plain.Recording)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events != len(rec.Events) {
+		t.Errorf("trace hook saw %d events, recording has %d", events, len(rec.Events))
+	}
+	snap := reg.Snapshot()
+	if tx, ok := snap.CounterValue(obs.MetricRadioTransmissions, obs.L("protocol", "ICFF")); !ok || int(tx) != plain.Measured.Transmissions {
+		t.Errorf("registry transmissions = %d (present %v), want %d", tx, ok, plain.Measured.Transmissions)
+	}
+	if _, ok := snap.CounterValue(cnet.MetricMoveIns); !ok {
+		t.Error("registry misses the instrumented topology counters")
+	}
+	if ps := perf.Snapshot(); ps.Runs != 1 || int(ps.Rounds) != plain.Measured.Rounds {
+		t.Errorf("perf counted %d runs / %d rounds, want 1 / %d", ps.Runs, ps.Rounds, plain.Measured.Rounds)
+	}
+
+	ring := run(icff, RunOptions{Record: true, RecordRing: 8})
+	rrec, err := flight.DecodeBytes(ring.Recording)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rrec.Header.RingLimit != 8 || len(rrec.Events) != 8 || rrec.Dropped() == 0 || ring.Measured != plain.Measured {
+		t.Errorf("ring recording: limit %d, %d events, %d dropped", rrec.Header.RingLimit, len(rrec.Events), rrec.Dropped())
+	}
+
+	events = 0
+	run("-- spec --\nn = 60\nside = 8\nseed = 1\nprotocol = gather\n",
+		RunOptions{TraceBatch: func(evs []radio.Event) { events += len(evs) }})
+	if events == 0 {
+		t.Error("gather run fed no events to the trace hook")
 	}
 }

@@ -3,9 +3,9 @@
 // on the air: who transmitted on which channel, who received from whom,
 // where collisions happened, and which nodes died.
 //
-// Recorders need no locking: the radio engine invokes its trace hooks —
-// per-event and batched alike — from a single goroutine (the kernel's
-// serial stitch steps between phases) regardless of its worker count, and
+// Recorders need no locking: the radio engine invokes its trace hook from
+// a single goroutine (the kernel's serial stitch steps between phases)
+// regardless of its worker count, and
 // the event stream — Seq numbers included — is byte-identical at any
 // radio.Engine.SetWorkers value.
 package trace
@@ -50,26 +50,10 @@ func (r *Recorder) Instrument(reg *obs.Registry) {
 		"Radio events dropped by a bounded trace recorder.")
 }
 
-// Hook returns the callback to install with Engine.SetTrace or
-// broadcast.Options.Trace.
-func (r *Recorder) Hook() func(radio.Event) {
-	return func(ev radio.Event) {
-		if r.limit > 0 && len(r.events) >= r.limit {
-			r.dropped++
-			if r.dropCtr != nil {
-				r.dropCtr.Inc()
-			}
-			return
-		}
-		r.events = append(r.events, ev)
-	}
-}
-
 // BatchHook returns the callback to install with Engine.SetTraceBatch or
 // broadcast.Options.TraceBatch: one call per shard buffer per phase per
-// round instead of one per event, same events in the same order. The
-// engine reuses the batch slice between calls, so the events are copied
-// into the recorder's own storage here.
+// round. The engine reuses the batch slice between calls, so the events
+// are copied into the recorder's own storage here.
 func (r *Recorder) BatchHook() func([]radio.Event) {
 	return func(evs []radio.Event) {
 		if r.limit > 0 {

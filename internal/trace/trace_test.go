@@ -20,7 +20,7 @@ func TestRecorderCollectsBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(0)
-	m, err := net.Broadcast(net.Root(), broadcast.Options{Trace: rec.Hook()})
+	m, err := net.Broadcast(net.Root(), broadcast.Options{TraceBatch: rec.BatchHook()})
 	if err != nil || !m.Completed {
 		t.Fatalf("broadcast: %v %s", err, m)
 	}
@@ -49,9 +49,9 @@ func TestRecorderCollectsBroadcast(t *testing.T) {
 
 func TestRecorderLimitAndReset(t *testing.T) {
 	rec := NewRecorder(2)
-	hook := rec.Hook()
+	hook := rec.BatchHook()
 	for i := 0; i < 5; i++ {
-		hook(radio.Event{Round: i + 1, Kind: radio.EvTransmit})
+		hook([]radio.Event{{Round: i + 1, Kind: radio.EvTransmit}})
 	}
 	if rec.Len() != 2 || rec.Dropped() != 3 {
 		t.Fatalf("len=%d dropped=%d", rec.Len(), rec.Dropped())
@@ -71,11 +71,12 @@ func TestRecorderLimitAndReset(t *testing.T) {
 
 func TestChannelLoad(t *testing.T) {
 	rec := NewRecorder(0)
-	hook := rec.Hook()
-	hook(radio.Event{Round: 1, Kind: radio.EvTransmit, Channel: 0})
-	hook(radio.Event{Round: 1, Kind: radio.EvTransmit, Channel: 1})
-	hook(radio.Event{Round: 2, Kind: radio.EvTransmit, Channel: 1})
-	hook(radio.Event{Round: 2, Kind: radio.EvDeliver, Channel: 1})
+	rec.BatchHook()([]radio.Event{
+		{Round: 1, Kind: radio.EvTransmit, Channel: 0},
+		{Round: 1, Kind: radio.EvTransmit, Channel: 1},
+		{Round: 2, Kind: radio.EvTransmit, Channel: 1},
+		{Round: 2, Kind: radio.EvDeliver, Channel: 1},
+	})
 	load := rec.ChannelLoad()
 	if load[0] != 1 || load[1] != 2 {
 		t.Fatalf("load = %v", load)
@@ -84,12 +85,13 @@ func TestChannelLoad(t *testing.T) {
 
 func TestRenderAllKinds(t *testing.T) {
 	rec := NewRecorder(0)
-	hook := rec.Hook()
-	hook(radio.Event{Round: 1, Kind: radio.EvTransmit, Node: 1})
-	hook(radio.Event{Round: 1, Kind: radio.EvDeliver, Node: 2, Peer: 1})
-	hook(radio.Event{Round: 2, Kind: radio.EvCollision, Node: 3})
-	hook(radio.Event{Round: 2, Kind: radio.EvNodeFail, Node: 4})
-	hook(radio.Event{Round: 3, Kind: radio.EvLinkFail, Node: 5, Peer: 6})
+	rec.BatchHook()([]radio.Event{
+		{Round: 1, Kind: radio.EvTransmit, Node: 1},
+		{Round: 1, Kind: radio.EvDeliver, Node: 2, Peer: 1},
+		{Round: 2, Kind: radio.EvCollision, Node: 3},
+		{Round: 2, Kind: radio.EvNodeFail, Node: 4},
+		{Round: 3, Kind: radio.EvLinkFail, Node: 5, Peer: 6},
+	})
 	var b strings.Builder
 	if err := rec.Render(&b); err != nil {
 		t.Fatal(err)

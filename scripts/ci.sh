@@ -83,10 +83,22 @@ echo "== replay smoke"
 # recording").
 replay_dir=$(mktemp -d)
 trap 'rm -rf "$replay_dir"' EXIT
-go run ./cmd/dynsim -n 200 -side 10 -seed 7 -failfrac 0.1 -record "$replay_dir/run.dsfr" > /dev/null
+go build -o "$replay_dir/dynsim" ./cmd/dynsim
+"$replay_dir/dynsim" -n 200 -side 10 -seed 7 -failfrac 0.1 -record "$replay_dir/run.dsfr" > /dev/null
 go run ./cmd/nettool replay -chrome-trace "$replay_dir/trace.json" "$replay_dir/run.dsfr" | tee "$replay_dir/replay.txt"
 grep -q 'verifier: PASS' "$replay_dir/replay.txt"
 go run ./scripts/jsoncheck "$replay_dir/trace.json"
+# dynsim's flags are an in-memory scenario run by the same runner as
+# -scenario: the flag form of failure-icff.dsn and the file itself must
+# write byte-identical recordings, event streams and metrics dumps.
+"$replay_dir/dynsim" -n 100 -side 10 -seed 4 -failfrac 0.1 -record "$replay_dir/flags.dsfr" \
+    -events "$replay_dir/flags.jsonl" -metrics "$replay_dir/flags.prom" > /dev/null
+"$replay_dir/dynsim" -scenario testdata/scenarios/positive/failure-icff.dsn -record "$replay_dir/file.dsfr" \
+    -events "$replay_dir/file.jsonl" -metrics "$replay_dir/file.prom" > /dev/null
+for ext in dsfr jsonl prom; do
+    cmp "$replay_dir/flags.$ext" "$replay_dir/file.$ext"
+done
+echo "flag run and scenario file write identical recording, events and metrics"
 
 echo "== scenario smoke"
 # One scenario recorded live, then re-verified offline from the .dsfr
@@ -112,7 +124,6 @@ echo "== dist runtime smoke"
 # then replay-verify the distributed recording offline like any other. The
 # goroutine fleet runs a second time at four engine workers, where shards
 # drive their own node ranges' frame barriers concurrently.
-go build -o "$replay_dir/dynsim" ./cmd/dynsim
 go build -o "$replay_dir/dnode" ./cmd/dnode
 dist_dsn=testdata/scenarios/positive/dist-runtime-icff.dsn
 "$replay_dir/dynsim" -scenario "$dist_dsn" -runtime kernel \
