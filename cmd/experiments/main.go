@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -45,7 +46,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent simulation points (0 = GOMAXPROCS)")
 		metrics  = flag.String("metrics", "", "write a metrics snapshot here at exit (- for stdout, .json for JSON, else Prometheus text)")
 		ppAddr   = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address during the sweep")
-		flDir    = flag.String("flight-dir", "", "record each point's ICFF run as a flight recording in this directory (replay with: nettool replay)")
+		flDir    = flag.String("flight-dir", "", "record the ICFF run of every Fig. 8, Fig. 9, lifetime and areas point in this directory, one <id>-side<S>-n<N>-s<seed>.dsfr file each (replay with: nettool replay)")
 		perfOn   = flag.Bool("perf", false, "collect kernel perf introspection across the sweep and print a summary (results unchanged)")
 	)
 	flag.Parse()
@@ -93,13 +94,12 @@ func main() {
 			os.Exit(1)
 		}
 		dir := *flDir
-		p.Flight = func(n int, seed int64) *flight.Writer {
-			f, err := os.Create(fmt.Sprintf("%s/icff-n%d-s%d.dsfr", dir, n, seed))
+		p.Flight = func(id string, side, n int, seed int64) (*flight.Writer, error) {
+			f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-side%d-n%d-s%d.dsfr", id, side, n, seed)))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: flight recording: %v\n", err)
-				return nil
+				return nil, fmt.Errorf("flight recording: %w", err)
 			}
-			return flight.NewWriter(f)
+			return flight.NewWriter(f), nil
 		}
 	}
 	if *ppAddr != "" {

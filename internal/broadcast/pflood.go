@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"dynsens/internal/graph"
-	"dynsens/internal/obs"
 	"dynsens/internal/radio"
 )
 
@@ -13,8 +12,6 @@ import (
 type PFloodOptions struct {
 	// Seed drives the per-node coin flips.
 	Seed int64
-	// Rand, when non-nil, supplies the coin flips instead of Seed.
-	Rand *rand.Rand
 	// Forward is the rebroadcast probability (1 = blind flooding, the
 	// "broadcast storm" regime of Ni et al. [16]).
 	Forward float64
@@ -26,11 +23,6 @@ type PFloodOptions struct {
 	// nodes cannot know when the broadcast ends. Default 4*diameter-ish:
 	// 6*sqrt(n)+20.
 	Horizon int
-	// Failures are node deaths to inject.
-	Failures []NodeFailure
-	// Obs, when non-nil, receives run instrumentation under
-	// protocol="PFLOOD" (see broadcast.Options.Obs).
-	Obs *obs.Registry
 }
 
 // pfloodNode implements reactive probabilistic flooding on a flat network:
@@ -117,10 +109,7 @@ func PFloodPlan(g *graph.Graph, source graph.NodeID, opts PFloodOptions) (*Plan,
 			horizon = 6*s + 20
 		}
 	}
-	rng := opts.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opts.Seed))
-	}
+	rng := rand.New(rand.NewSource(opts.Seed))
 	progs := make(map[graph.NodeID]radio.Program, g.NumNodes())
 	for _, id := range g.Nodes() {
 		p := &pfloodNode{
@@ -150,5 +139,5 @@ func RunPFlood(g *graph.Graph, source graph.NodeID, opts PFloodOptions) (Metrics
 	if err != nil {
 		return Metrics{}, err
 	}
-	return plan.Run(g, Options{Failures: opts.Failures, Obs: opts.Obs})
+	return plan.Run(g, Options{})
 }

@@ -11,9 +11,9 @@
 // epoch, every still-unacknowledged neighbor answers with probability
 // 2^-(i mod E). Whenever exactly one neighbor answers, the joiner hears it
 // and acknowledges it in the next probe, silencing it. The joiner stops
-// after a configurable number of consecutive epochs without a new
-// discovery — a Monte Carlo termination rule, which is exactly why the
-// guarantee is "expected rounds" and "with high probability".
+// after a fixed number of consecutive epochs without a new discovery — a
+// Monte Carlo termination rule, which is exactly why the guarantee is
+// "expected rounds" and "with high probability".
 //
 // The protocol runs on the real radio engine, so the measured round counts
 // in the discovery experiment include every collision it actually caused.
@@ -33,48 +33,27 @@ const (
 	msgResponse = 2
 )
 
+// Decay schedule and termination.
+const (
+	// epochLength is the number of probability levels per decay epoch:
+	// response probability is 2^-i for i = 0..epochLength-1.
+	epochLength = 8
+	// maxSilentEpochs is how many consecutive epochs without a discovery
+	// end the protocol. Six push the miss probability per remaining neighbor
+	// below ~1e-3: each barren epoch has probability roughly 0.2-0.4 while
+	// neighbors remain undiscovered.
+	maxSilentEpochs = 6
+	// maxRounds hard-bounds the run.
+	maxRounds = 4096
+)
+
 // Options tune a discovery run.
 type Options struct {
 	// Seed drives all coin flips.
 	Seed int64
-	// Rand, when non-nil, supplies the coin flips instead of Seed. Inject
-	// a shared seeded source when a caller interleaves several randomized
-	// stages and wants one reproducible stream across all of them.
-	Rand *rand.Rand
-	// EpochLength is the number of probability levels per decay epoch
-	// (response probability is 2^-i for i = 0..EpochLength-1). Default 8.
-	EpochLength int
-	// SilentEpochs is how many consecutive epochs without a discovery end
-	// the protocol. Default 6, which pushes the miss probability per
-	// remaining neighbor below ~1e-3 (each barren epoch has probability
-	// roughly 0.2-0.4 while neighbors remain undiscovered).
-	SilentEpochs int
-	// MaxRounds hard-bounds the run. Default 4096.
-	MaxRounds int
 	// Workers sets the radio engine's shard-worker count (see
 	// radio.Engine.SetWorkers); 0 keeps the engine default.
 	Workers int
-}
-
-func (o Options) epochLength() int {
-	if o.EpochLength <= 0 {
-		return 8
-	}
-	return o.EpochLength
-}
-
-func (o Options) silentEpochs() int {
-	if o.SilentEpochs <= 0 {
-		return 6
-	}
-	return o.SilentEpochs
-}
-
-func (o Options) maxRounds() int {
-	if o.MaxRounds <= 0 {
-		return 4096
-	}
-	return o.MaxRounds
 }
 
 // Result reports a discovery run.
@@ -99,8 +78,7 @@ type Result struct {
 // a pure read of the done flag, which is set once and never cleared.
 // Enforced statically by dynlint/progpurity via the assertion below.
 type joinerProg struct {
-	id   graph.NodeID
-	opts Options
+	id graph.NodeID
 
 	discovered   map[graph.NodeID]bool
 	lastHeard    graph.NodeID
@@ -126,13 +104,13 @@ func (p *joinerProg) Act(round int) radio.Action {
 		}
 		// Advance the decay schedule; close epochs on wraparound.
 		p.epochRound++
-		if p.epochRound >= p.opts.epochLength() {
+		if p.epochRound >= epochLength {
 			p.epochRound = 0
 			if p.newInEpoch {
 				p.silentEpochs = 0
 			} else {
 				p.silentEpochs++
-				if p.silentEpochs >= p.opts.silentEpochs() {
+				if p.silentEpochs >= maxSilentEpochs {
 					p.done = true
 				}
 			}
@@ -230,11 +208,8 @@ func Run(g *graph.Graph, joiner graph.NodeID, opts Options) (Result, error) {
 	if !g.HasNode(joiner) {
 		return Result{}, fmt.Errorf("discovery: joiner %d not in graph", joiner)
 	}
-	rng := opts.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opts.Seed))
-	}
-	jp := &joinerProg{id: joiner, opts: opts, discovered: make(map[graph.NodeID]bool)}
+	rng := rand.New(rand.NewSource(opts.Seed))
+	jp := &joinerProg{id: joiner, discovered: make(map[graph.NodeID]bool)}
 	progs := map[graph.NodeID]radio.Program{joiner: jp}
 	for _, id := range g.Nodes() {
 		if id == joiner {
@@ -244,7 +219,7 @@ func Run(g *graph.Graph, joiner graph.NodeID, opts Options) (Result, error) {
 			progs[id] = &responderProg{
 				id:      id,
 				rng:     rand.New(rand.NewSource(rng.Int63())),
-				timeout: 4 * opts.epochLength(),
+				timeout: 4 * epochLength,
 			}
 		} else {
 			progs[id] = silent{}
@@ -255,7 +230,7 @@ func Run(g *graph.Graph, joiner graph.NodeID, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	eng.SetWorkers(opts.Workers)
-	res := eng.Run(opts.maxRounds())
+	res := eng.Run(maxRounds)
 
 	out := Result{
 		Rounds:        res.Rounds,

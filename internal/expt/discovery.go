@@ -17,38 +17,42 @@ import (
 // engine and the measured rounds, collisions and completeness are
 // reported against its degree.
 func Discovery(p Params) (*stats.Table, error) {
-	t := stats.NewTable("Neighbor discovery — measured cost vs degree (Theorem 2 substrate)",
-		"nodes", "avg_degree", "rounds", "rounds_per_degree", "collisions", "complete")
-	for _, n := range p.Sizes {
-		var degs, rounds, colls, complete []float64
-		for _, seed := range p.seeds() {
-			d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
-			if err != nil {
-				return nil, err
+	data, err := sweep(p, p.Sizes, func(n int, seed int64, s samples) error {
+		d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
+		if err != nil {
+			return err
+		}
+		g := d.Graph()
+		// Probe a few representative joiners per deployment.
+		for _, joiner := range []graph.NodeID{graph.NodeID(n / 4), graph.NodeID(n / 2), graph.NodeID(3 * n / 4)} {
+			if !g.HasNode(joiner) || g.Degree(joiner) == 0 {
+				continue
 			}
-			g := d.Graph()
-			// Probe a few representative joiners per deployment.
-			for _, joiner := range []graph.NodeID{graph.NodeID(n / 4), graph.NodeID(n / 2), graph.NodeID(3 * n / 4)} {
-				if !g.HasNode(joiner) || g.Degree(joiner) == 0 {
-					continue
-				}
-				res, err := discovery.Run(g, joiner, discovery.Options{Seed: seed*101 + int64(joiner)})
-				if err != nil {
-					return nil, err
-				}
-				degs = append(degs, float64(g.Degree(joiner)))
-				rounds = append(rounds, float64(res.Rounds))
-				colls = append(colls, float64(res.Collisions))
-				if res.Complete {
-					complete = append(complete, 1)
-				} else {
-					complete = append(complete, 0)
-				}
+			res, err := discovery.Run(g, joiner, discovery.Options{Seed: seed*101 + int64(joiner)})
+			if err != nil {
+				return err
+			}
+			s.add("degree", float64(g.Degree(joiner)))
+			s.add("rounds", float64(res.Rounds))
+			s.add("collisions", float64(res.Collisions))
+			if res.Complete {
+				s.add("complete", 1)
+			} else {
+				s.add("complete", 0)
 			}
 		}
-		dm, rm := mean(degs), mean(rounds)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := stats.NewTable("Neighbor discovery — measured cost vs degree (Theorem 2 substrate)",
+		"nodes", "avg_degree", "rounds", "rounds_per_degree", "collisions", "complete")
+	for i, n := range p.Sizes {
+		d := data[i]
+		dm, rm := mean(d["degree"]), mean(d["rounds"])
 		t.AddRow(stats.F(float64(n)), stats.F(dm), stats.F(rm), ratio(rm, dm),
-			stats.F(mean(colls)), fmt.Sprintf("%.3f", mean(complete)))
+			stats.F(mean(d["collisions"])), fmt.Sprintf("%.3f", mean(d["complete"])))
 	}
 	return t, nil
 }
@@ -68,31 +72,33 @@ func BootstrapExp(p Params) (*stats.Table, error) {
 	seen := make(map[int]bool)
 	var sizes []int
 	for _, n := range p.Sizes {
-		if n > bootstrapCap {
-			n = bootstrapCap
-		}
+		n = min(n, bootstrapCap)
 		if !seen[n] {
 			seen[n] = true
 			sizes = append(sizes, n)
 		}
 	}
-	for _, n := range sizes {
-		var total, perNode, inc []float64
-		for _, seed := range p.seeds() {
-			d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
-			if err != nil {
-				return nil, err
-			}
-			res, err := joinproto.Bootstrap(d, core.Config{}, seed*5)
-			if err != nil {
-				return nil, err
-			}
-			total = append(total, float64(res.TotalRounds))
-			perNode = append(perNode, float64(res.TotalRounds)/float64(n-1))
-			inc = append(inc, float64(res.IncompleteDiscoveries))
+	data, err := sweep(p, sizes, func(n int, seed int64, s samples) error {
+		d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
+		if err != nil {
+			return err
 		}
-		t.AddRow(stats.F(float64(n)), stats.F(mean(total)), stats.F(mean(perNode)),
-			stats.F(mean(inc)), stats.F(float64(2*n)))
+		res, err := joinproto.Bootstrap(d, core.Config{}, seed*5)
+		if err != nil {
+			return err
+		}
+		s.add("total", float64(res.TotalRounds))
+		s.add("per_node", float64(res.TotalRounds)/float64(n-1))
+		s.add("incomplete", float64(res.IncompleteDiscoveries))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, n := range sizes {
+		d := data[i]
+		t.AddRow(stats.F(float64(n)), stats.F(mean(d["total"])), stats.F(mean(d["per_node"])),
+			stats.F(mean(d["incomplete"])), stats.F(float64(2*n)))
 	}
 	return t, nil
 }
@@ -102,38 +108,42 @@ func BootstrapExp(p Params) (*stats.Table, error) {
 // maintenance and height reports — all in rounds, against the joiner's
 // degree and the 2h+2d+D knowledge-(II) bound.
 func JoinProtocol(p Params) (*stats.Table, error) {
+	data, err := sweep(p, p.Sizes, func(n int, seed int64, s samples) error {
+		d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
+		if err != nil {
+			return err
+		}
+		net, err := core.Build(d.Graph(), core.Config{})
+		if err != nil {
+			return err
+		}
+		anchor := graph.NodeID(n / 2)
+		nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
+		res, err := joinproto.Join(net, graph.NodeID(n+1000), nbrs, seed*3)
+		if err != nil {
+			return err
+		}
+		st := net.Stats()
+		s.add("degree", float64(len(nbrs)))
+		s.add("discover", float64(res.DiscoveryRounds))
+		s.add("query", float64(res.QueryRounds))
+		s.add("attach", float64(res.AttachRounds))
+		s.add("slots", float64(res.SlotRounds))
+		s.add("height", float64(res.HeightRounds))
+		s.add("total", float64(res.TotalRounds()))
+		s.add("bound", float64(2*st.Height+2*st.DegreeBT+st.DegreeG))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Message-level node-move-in, per-phase rounds (Theorem 2)",
 		"nodes", "degree", "discover", "query", "attach", "slots", "height", "total", "bound_2h+2d+D")
-	for _, n := range p.Sizes {
-		var degs, disc, query, attach, slots, height, total, bounds []float64
-		for _, seed := range p.seeds() {
-			d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
-			if err != nil {
-				return nil, err
-			}
-			net, err := core.Build(d.Graph(), core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			anchor := graph.NodeID(n / 2)
-			nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
-			res, err := joinproto.Join(net, graph.NodeID(n+1000), nbrs, seed*3)
-			if err != nil {
-				return nil, err
-			}
-			st := net.Stats()
-			degs = append(degs, float64(len(nbrs)))
-			disc = append(disc, float64(res.DiscoveryRounds))
-			query = append(query, float64(res.QueryRounds))
-			attach = append(attach, float64(res.AttachRounds))
-			slots = append(slots, float64(res.SlotRounds))
-			height = append(height, float64(res.HeightRounds))
-			total = append(total, float64(res.TotalRounds()))
-			bounds = append(bounds, float64(2*st.Height+2*st.DegreeBT+st.DegreeG))
-		}
-		t.AddRow(stats.F(float64(n)), stats.F(mean(degs)), stats.F(mean(disc)),
-			stats.F(mean(query)), stats.F(mean(attach)), stats.F(mean(slots)),
-			stats.F(mean(height)), stats.F(mean(total)), stats.F(mean(bounds)))
+	for i, n := range p.Sizes {
+		d := data[i]
+		t.AddRow(stats.F(float64(n)), stats.F(mean(d["degree"])), stats.F(mean(d["discover"])),
+			stats.F(mean(d["query"])), stats.F(mean(d["attach"])), stats.F(mean(d["slots"])),
+			stats.F(mean(d["height"])), stats.F(mean(d["total"])), stats.F(mean(d["bound"])))
 	}
 	return t, nil
 }

@@ -1,9 +1,11 @@
 // Package expt defines one reproducible experiment per figure of the
 // paper's evaluation (Section 6) plus the claims made in the text
 // (multi-channel speedup, multicast pruning, robustness, reconfiguration
-// cost, Lemma 3 bounds) and two ablations. Each experiment sweeps network
-// sizes over several seeds, runs the protocols on the radio engine, and
-// returns a text table whose rows are the series the paper plots.
+// cost, Lemma 3 bounds) and two ablations. Each experiment runs the
+// protocols on the radio engine at every point of one axis (network size,
+// channel count, failure fraction, region side, ...) times several seeds,
+// all through one runner, sweep, and returns a text table whose rows are
+// the series the paper plots.
 //
 // The paper's setup: square regions of 8x8, 10x10 and 12x12 units (1 unit
 // = 100 m), communication range 50 m, node counts from 64 to 720; the
@@ -13,13 +15,14 @@
 package expt
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/flight"
+	"dynsens/internal/gather"
 	"dynsens/internal/graph"
 	"dynsens/internal/netio"
 	"dynsens/internal/obs"
@@ -29,7 +32,7 @@ import (
 
 // Metric names recorded by sweeps given Params.Obs.
 const (
-	// MetricExptPoints counts completed (size, seed) simulation points.
+	// MetricExptPoints counts completed (row, seed) simulation points.
 	MetricExptPoints = "dynsens_expt_points_total"
 	// MetricExptErrors counts points that failed.
 	MetricExptErrors = "dynsens_expt_point_errors_total"
@@ -48,24 +51,11 @@ type Params struct {
 	Seeds int
 	// BaseSeed offsets the deployment seeds.
 	BaseSeed int64
-	// Workers bounds the number of (size, seed) points simulated
+	// Workers bounds the number of (row, seed) points simulated
 	// concurrently; 0 means GOMAXPROCS. Every point is an independent
 	// seeded simulation, so parallel execution is deterministic: results
 	// are aggregated by point, not by arrival order.
 	Workers int
-	// EngineWorkers sets the radio engine's shard-worker count *inside*
-	// each point (radio.Engine.SetWorkers). The default 0 pins point
-	// engines to a single shard: the sweep already saturates cores across
-	// points, and the paper's point sizes sit below the engine's parallel
-	// threshold anyway. Set it for large-n sweeps where a single point
-	// dominates wall-clock time. Any value yields identical results.
-	EngineWorkers int
-	// NewRand, when non-nil, replaces the default rand construction for
-	// every auxiliary random stream (clock skew, crash sets, loss coins).
-	// It is called with a per-point derived seed and must return an
-	// independent source; tests use it to substitute instrumented or
-	// shared streams. Must be safe for concurrent calls when Workers > 1.
-	NewRand func(seed int64) *rand.Rand
 	// Obs, when non-nil, collects sweep instrumentation: a counter of
 	// simulated points and (when Now is also set) a histogram of per-point
 	// wall time. Workers share the registry's atomic series, so parallel
@@ -75,11 +65,13 @@ type Params struct {
 	// histogram. It lives here (not a direct time.Now call) so the package
 	// stays deterministic by default; binaries wire time.Now().UnixNano.
 	Now func() int64
-	// Flight, when non-nil, is asked for a flight writer before each
-	// point's ICFF run (return nil to skip a point). The sweep writes the
-	// header and topology, records the run, and closes the writer. Must be
-	// safe for concurrent calls when Workers > 1.
-	Flight func(n int, seed int64) *flight.Writer
+	// Flight, when non-nil, is asked for a flight writer before the ICFF
+	// run of every Fig. 8, Fig. 9, lifetime and areas point, given the
+	// experiment ID, region side, node count and seed. The sweep writes
+	// the header and topology, records the run, and closes the writer; an
+	// error fails the point. Must be safe for concurrent calls when
+	// Workers > 1.
+	Flight func(id string, side, n int, seed int64) (*flight.Writer, error)
 	// Perf, when non-nil, collects kernel performance introspection
 	// across every point's engine runs (radio.Engine.SetPerf). One shared
 	// collector is safe under Workers > 1 — runs fold in atomically — and
@@ -94,19 +86,19 @@ func (p Params) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (p Params) engineWorkers() int {
-	if p.EngineWorkers > 0 {
-		return p.EngineWorkers
-	}
-	return 1
+// opts returns the broadcast options every point's engine run starts
+// from: the sweep's Perf collector, and one engine worker, since the sweep
+// already saturates cores across points and the paper's point sizes sit
+// below the engine's parallel threshold anyway. Any worker count yields
+// identical results.
+func (p Params) opts() broadcast.Options {
+	return broadcast.Options{Workers: 1, Perf: p.Perf}
 }
 
-// rng constructs the auxiliary random stream for a derived per-point seed.
-func (p Params) rng(seed int64) *rand.Rand {
-	if p.NewRand != nil {
-		return p.NewRand(seed)
-	}
-	return rand.New(rand.NewSource(seed))
+// gatherOpts is opts for the convergecast engine.
+func (p Params) gatherOpts() gather.Options {
+	o := p.opts()
+	return gather.Options{Workers: o.Workers, Perf: o.Perf}
 }
 
 // Default returns the paper's published configuration: the 10x10 region
@@ -128,82 +120,80 @@ func (p Params) seeds() []int64 {
 	return out
 }
 
-// forEachPoint runs fn for every (size, seed) pair — in parallel up to
-// Params.Workers — and collects per-size sample maps keyed by metric name.
-// Samples within a size are ordered by seed index regardless of completion
-// order, so parallel and serial runs produce identical tables.
-func forEachPoint(p Params, fn func(net *core.Network, n int, seed int64) (map[string]float64, error)) (map[int]map[string][]float64, error) {
-	type point struct {
-		n    int
-		si   int
-		seed int64
-	}
-	var points []point
+// samples holds measurements by metric name: one point's while it runs,
+// then one row's once sweep merges them.
+type samples map[string][]float64
+
+func (s samples) add(key string, v float64) { s[key] = append(s[key], v) }
+
+// sweep is the one loop over an experiment's points: it runs point for
+// every (row, seed) pair — in parallel up to Params.Workers — and returns
+// each row's samples in row order. The row axis is whatever the
+// experiment varies: node counts, channels, failure fractions, region
+// sides. Within a row, samples are ordered by seed index, then by the
+// order the point added them, regardless of completion order, so parallel
+// and serial runs produce identical tables.
+func sweep[R any](p Params, rows []R, point func(row R, seed int64, s samples) error) ([]samples, error) {
 	seeds := p.seeds()
-	for _, n := range p.Sizes {
-		for si, seed := range seeds {
-			points = append(points, point{n: n, si: si, seed: seed})
-		}
-	}
 
 	// Register instrumentation handles once, outside the workers; the
 	// handles themselves are atomic, so workers merge lock-free.
 	var pointsDone, pointErrs *obs.Counter
 	var pointSecs *obs.Histogram
 	if p.Obs != nil {
-		pointsDone = p.Obs.Counter(MetricExptPoints, "Completed (size, seed) simulation points.")
+		pointsDone = p.Obs.Counter(MetricExptPoints, "Completed (row, seed) simulation points.")
 		pointErrs = p.Obs.Counter(MetricExptErrors, "Simulation points that failed.")
 		if p.Now != nil {
 			pointSecs = p.Obs.Histogram(MetricExptPointSeconds, "Per-point wall time in seconds.", obs.ExpBuckets(0.001, 2, 16))
 		}
 	}
 
-	results := make([]map[string]float64, len(points))
-	errs := make([]error, len(points))
-	sem := make(chan struct{}, p.workers())
+	// A fixed set of workers pulls point indices in order; each point
+	// writes only its own results slot.
+	results := make([]samples, len(rows)*len(seeds))
+	errs := make([]error, len(results))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, pt := range points {
+	for range min(p.workers(), len(results)) {
 		wg.Add(1)
-		go func(i int, pt point) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var start int64
-			if pointSecs != nil {
-				start = p.Now()
-			}
-			net, _, err := core.Deploy(p.Side, pt.n, pt.seed, core.Config{})
-			if err != nil {
-				errs[i] = err
-			} else {
-				results[i], errs[i] = fn(net, pt.n, pt.seed)
-			}
-			if pointSecs != nil {
-				pointSecs.Observe(float64(p.Now()-start) / 1e9)
-			}
-			if errs[i] != nil {
-				if pointErrs != nil {
-					pointErrs.Inc()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(results) {
+					return
 				}
-				return
+				var start int64
+				if pointSecs != nil {
+					start = p.Now()
+				}
+				results[i] = samples{}
+				errs[i] = point(rows[i/len(seeds)], seeds[i%len(seeds)], results[i])
+				if pointSecs != nil {
+					pointSecs.Observe(float64(p.Now()-start) / 1e9)
+				}
+				if errs[i] != nil {
+					if pointErrs != nil {
+						pointErrs.Inc()
+					}
+				} else if pointsDone != nil {
+					pointsDone.Inc()
+				}
 			}
-			if pointsDone != nil {
-				pointsDone.Inc()
-			}
-		}(i, pt)
+		}()
 	}
 	wg.Wait()
 
-	out := make(map[int]map[string][]float64, len(p.Sizes))
-	for _, n := range p.Sizes {
-		out[n] = make(map[string][]float64)
-	}
-	for i, pt := range points {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		for k, v := range results[i] {
-			out[pt.n][k] = append(out[pt.n][k], v)
+	out := make([]samples, len(rows))
+	for r := range out {
+		out[r] = samples{}
+		for i := r * len(seeds); i < (r+1)*len(seeds); i++ {
+			if errs[i] != nil {
+				return nil, errs[i]
+			}
+			for k, vs := range results[i] {
+				out[r][k] = append(out[r][k], vs...)
+			}
 		}
 	}
 	return out, nil
@@ -229,28 +219,24 @@ func safeLeaveCandidate(net *core.Network) (graph.NodeID, bool) {
 	return 0, false
 }
 
-// runBoth executes ICFF and DFO broadcasts from the root with the given
-// options and returns both metrics. When the sweep has a Flight factory,
-// the ICFF run of the point is captured as a flight recording.
-func runBoth(p Params, net *core.Network, n int, seed int64, opts broadcast.Options) (icff, dfo broadcast.Metrics, err error) {
-	if opts.Workers == 0 {
-		// Points run concurrently already; nested engine parallelism
-		// would oversubscribe unless the caller asked for it.
-		opts.Workers = p.engineWorkers()
+// runBoth deploys experiment id's point (side, n, seed), runs ICFF and
+// DFO broadcasts from its root, and fails unless both complete. When the
+// sweep has a Flight factory, the ICFF run is captured as a flight
+// recording.
+func runBoth(p Params, id string, side, n int, seed int64) (net *core.Network, icff, dfo broadcast.Metrics, err error) {
+	if net, _, err = core.Deploy(side, n, seed, core.Config{}); err != nil {
+		return
 	}
-	opts.Perf = p.Perf
+	opts := p.opts()
 	icffOpts := opts
 	var fw *flight.Writer
 	if p.Flight != nil {
-		if fw = p.Flight(n, seed); fw != nil {
-			fw.WriteHeader(flight.Header{
-				Seed: seed, N: n, Side: p.Side, Channels: opts.Channels,
-				Source: net.Root(), Protocol: "ICFF",
-				LossRate: opts.LossRate, LossSeed: opts.LossSeed,
-			})
-			netio.RecordTopology(fw, net)
-			icffOpts.Flight = fw
+		if fw, err = p.Flight(id, side, n, seed); err != nil {
+			return
 		}
+		fw.WriteHeader(flight.Header{Seed: seed, N: n, Side: side, Source: net.Root(), Protocol: "ICFF"})
+		netio.RecordTopology(fw, net)
+		icffOpts.Flight = fw
 	}
 	icff, err = net.Broadcast(net.Root(), icffOpts)
 	if fw != nil {
@@ -261,6 +247,11 @@ func runBoth(p Params, net *core.Network, n int, seed int64, opts broadcast.Opti
 	if err != nil {
 		return
 	}
-	dfo, err = net.BroadcastDFO(net.Root(), opts)
+	if dfo, err = net.BroadcastDFO(net.Root(), opts); err != nil {
+		return
+	}
+	if !icff.Completed || !dfo.Completed {
+		err = errIncomplete(id, n, seed, icff, dfo)
+	}
 	return
 }

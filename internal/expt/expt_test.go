@@ -4,9 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"dynsens/internal/broadcast"
-	"dynsens/internal/core"
 )
 
 func quick() Params { return Quick() }
@@ -390,13 +387,9 @@ func TestPaperScaleRange(t *testing.T) {
 	}
 	for _, tc := range []struct{ side, n int }{{8, 64}, {12, 720}} {
 		p := Params{Side: tc.side, Seeds: 1, BaseSeed: 9}
-		net, _, err := core.Deploy(p.Side, tc.n, 9, core.Config{})
+		_, icff, dfo, err := runBoth(p, "8", p.Side, tc.n, 9)
 		if err != nil {
 			t.Fatalf("side=%d n=%d: %v", tc.side, tc.n, err)
-		}
-		icff, dfo, err := runBoth(p, net, tc.n, 9, broadcast.Options{})
-		if err != nil {
-			t.Fatal(err)
 		}
 		if !icff.Completed || !dfo.Completed {
 			t.Fatalf("side=%d n=%d incomplete: %s / %s", tc.side, tc.n, icff, dfo)

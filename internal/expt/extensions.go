@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"math/rand"
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
@@ -20,33 +21,36 @@ func MultiChannel(p Params, channels []int) (*stats.Table, error) {
 		channels = []int{1, 2, 4, 8}
 	}
 	n := p.Sizes[len(p.Sizes)-1]
+	data, err := sweep(p, channels, func(k int, seed int64, s samples) error {
+		net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
+		if err != nil {
+			return err
+		}
+		opts := p.opts()
+		opts.Channels = k
+		m, err := net.Broadcast(net.Root(), opts)
+		if err != nil {
+			return err
+		}
+		if !m.Completed {
+			return fmt.Errorf("expt: k=%d broadcast incomplete: %s", k, m)
+		}
+		s.add("rounds", float64(m.CompletionRound))
+		s.add("sched", float64(m.ScheduleLen))
+		s.add("awake", float64(m.MaxAwake))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable(fmt.Sprintf("Multi-channel ICFF (n=%d)", n),
 		"k", "rounds", "sched", "max_awake", "speedup_vs_k1")
-	var base float64
-	for _, k := range channels {
-		var rounds, scheds, awakes []float64
-		for _, seed := range p.seeds() {
-			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			m, err := net.Broadcast(net.Root(), broadcast.Options{Channels: k})
-			if err != nil {
-				return nil, err
-			}
-			if !m.Completed {
-				return nil, fmt.Errorf("expt: k=%d broadcast incomplete: %s", k, m)
-			}
-			rounds = append(rounds, float64(m.CompletionRound))
-			scheds = append(scheds, float64(m.ScheduleLen))
-			awakes = append(awakes, float64(m.MaxAwake))
-		}
-		r := mean(rounds)
-		if k == channels[0] {
-			base = r
-		}
-		t.AddRow(stats.F(float64(k)), stats.F(r), stats.F(mean(scheds)),
-			stats.F(mean(awakes)), ratio(base, r))
+	base := mean(data[0]["rounds"])
+	for i, k := range channels {
+		d := data[i]
+		r := mean(d["rounds"])
+		t.AddRow(stats.F(float64(k)), stats.F(r), stats.F(mean(d["sched"])),
+			stats.F(mean(d["awake"])), ratio(base, r))
 	}
 	return t, nil
 }
@@ -59,54 +63,58 @@ func Multicast(p Params, fracs []float64) (*stats.Table, error) {
 		fracs = []float64{0.05, 0.1, 0.25, 0.5, 1.0}
 	}
 	n := p.Sizes[len(p.Sizes)-1]
+	data, err := sweep(p, fracs, func(frac float64, seed int64, s samples) error {
+		net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
+		if err != nil {
+			return err
+		}
+		rng := rand.New(rand.NewSource(seed * 31))
+		nodes := net.CNet().Tree().Nodes()
+		joined := 0
+		for _, id := range nodes {
+			if rng.Float64() < frac {
+				if err := net.JoinGroup(id, 1); err != nil {
+					return err
+				}
+				joined++
+			}
+		}
+		if joined == 0 {
+			if err := net.JoinGroup(nodes[len(nodes)-1], 1); err != nil {
+				return err
+			}
+			joined = 1
+		}
+		_, f := net.Groups().RelaySet(net.Slots(), 1)
+		mc, err := net.Multicast(1, net.Root(), p.opts())
+		if err != nil {
+			return err
+		}
+		bc, err := net.Broadcast(net.Root(), p.opts())
+		if err != nil {
+			return err
+		}
+		if !mc.Completed || !bc.Completed {
+			return fmt.Errorf("expt: multicast incomplete: %s / %s", mc, bc)
+		}
+		s.add("members", float64(joined))
+		s.add("mc_tx", float64(mc.Transmissions))
+		s.add("bc_tx", float64(bc.Transmissions))
+		s.add("mc_done", float64(mc.CompletionRound))
+		s.add("bc_done", float64(bc.CompletionRound))
+		s.add("forced", float64(f))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable(fmt.Sprintf("Multicast vs broadcast (n=%d)", n),
 		"group_frac", "members", "mc_tx", "bc_tx", "mc_last_rx", "bc_last_rx", "forced_relays")
-	for _, frac := range fracs {
-		var members, mcTx, bcTx, mcDone, bcDone, forced []float64
-		for _, seed := range p.seeds() {
-			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			rng := p.rng(seed * 31)
-			nodes := net.CNet().Tree().Nodes()
-			joined := 0
-			for _, id := range nodes {
-				if rng.Float64() < frac {
-					if err := net.JoinGroup(id, 1); err != nil {
-						return nil, err
-					}
-					joined++
-				}
-			}
-			if joined == 0 {
-				if err := net.JoinGroup(nodes[len(nodes)-1], 1); err != nil {
-					return nil, err
-				}
-				joined = 1
-			}
-			_, f := net.Groups().RelaySet(net.Slots(), 1)
-			mc, err := net.Multicast(1, net.Root(), broadcast.Options{})
-			if err != nil {
-				return nil, err
-			}
-			bc, err := net.Broadcast(net.Root(), broadcast.Options{})
-			if err != nil {
-				return nil, err
-			}
-			if !mc.Completed || !bc.Completed {
-				return nil, fmt.Errorf("expt: multicast incomplete: %s / %s", mc, bc)
-			}
-			members = append(members, float64(joined))
-			mcTx = append(mcTx, float64(mc.Transmissions))
-			bcTx = append(bcTx, float64(bc.Transmissions))
-			mcDone = append(mcDone, float64(mc.CompletionRound))
-			bcDone = append(bcDone, float64(bc.CompletionRound))
-			forced = append(forced, float64(f))
-		}
-		t.AddRow(fmt.Sprintf("%.2f", frac), stats.F(mean(members)), stats.F(mean(mcTx)),
-			stats.F(mean(bcTx)), stats.F(mean(mcDone)), stats.F(mean(bcDone)),
-			stats.F(mean(forced)))
+	for i, frac := range fracs {
+		d := data[i]
+		t.AddRow(fmt.Sprintf("%.2f", frac), stats.F(mean(d["members"])), stats.F(mean(d["mc_tx"])),
+			stats.F(mean(d["bc_tx"])), stats.F(mean(d["mc_done"])), stats.F(mean(d["bc_done"])),
+			stats.F(mean(d["forced"])))
 	}
 	return t, nil
 }
@@ -120,33 +128,35 @@ func Robustness(p Params, fracs []float64) (*stats.Table, error) {
 		fracs = []float64{0, 0.02, 0.05, 0.1, 0.2}
 	}
 	n := p.Sizes[len(p.Sizes)-1]
+	data, err := sweep(p, fracs, func(frac float64, seed int64, s samples) error {
+		net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
+		if err != nil {
+			return err
+		}
+		dfoPlanLen := 2 * (net.CNet().Backbone().Size() - 1)
+		opts := p.opts()
+		for _, f := range workload.FailureTrace(net.Graph(), net.Root(), frac, max(dfoPlanLen, 1), seed*17) {
+			opts.Failures = append(opts.Failures, broadcast.NodeFailure{Node: f.Node, Round: f.Round})
+		}
+		icff, err := net.Broadcast(net.Root(), opts)
+		if err != nil {
+			return err
+		}
+		dfo, err := net.BroadcastDFO(net.Root(), opts)
+		if err != nil {
+			return err
+		}
+		s.add("cff", icff.DeliveryRatio())
+		s.add("dfo", dfo.DeliveryRatio())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable(fmt.Sprintf("Robustness under node failures (n=%d)", n),
 		"fail_frac", "cff_delivery", "dfo_delivery", "cff_advantage")
-	for _, frac := range fracs {
-		var cffR, dfoR []float64
-		for _, seed := range p.seeds() {
-			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			dfoPlanLen := 2 * (net.CNet().Backbone().Size() - 1)
-			trace := workload.FailureTrace(net.Graph(), net.Root(), frac, maxInt(dfoPlanLen, 1), seed*17)
-			var fails []broadcast.NodeFailure
-			for _, f := range trace {
-				fails = append(fails, broadcast.NodeFailure{Node: f.Node, Round: f.Round})
-			}
-			icff, err := net.Broadcast(net.Root(), broadcast.Options{Failures: fails})
-			if err != nil {
-				return nil, err
-			}
-			dfo, err := net.BroadcastDFO(net.Root(), broadcast.Options{Failures: fails})
-			if err != nil {
-				return nil, err
-			}
-			cffR = append(cffR, icff.DeliveryRatio())
-			dfoR = append(dfoR, dfo.DeliveryRatio())
-		}
-		c, d := mean(cffR), mean(dfoR)
+	for i, frac := range fracs {
+		c, d := mean(data[i]["cff"]), mean(data[i]["dfo"])
 		t.AddRow(fmt.Sprintf("%.2f", frac), fmt.Sprintf("%.3f", c), fmt.Sprintf("%.3f", d), ratio(c, d))
 	}
 	return t, nil
@@ -156,46 +166,50 @@ func Robustness(p Params, fracs []float64) (*stats.Table, error) {
 // node-move-out (structural knowledge-I/height part plus the time-slot
 // maintenance part) as the network grows.
 func Reconfig(p Params) (*stats.Table, error) {
+	data, err := sweep(p, p.Sizes, func(n int, seed int64, s samples) error {
+		net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
+		if err != nil {
+			return err
+		}
+		st := net.Stats()
+		s.add("bound", float64(2*st.Height+2*st.DegreeBT+st.DegreeG))
+
+		// Move-in: attach a fresh node next to a random existing one.
+		rng := rand.New(rand.NewSource(seed * 13))
+		nodes := net.CNet().Tree().Nodes()
+		anchor := nodes[rng.Intn(len(nodes))]
+		nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
+		preStruct, preSlot := net.Stats().StructuralRounds, net.Stats().SlotRounds
+		if err := net.Join(graph.NodeID(n+5000), nbrs); err != nil {
+			return err
+		}
+		post := net.Stats()
+		s.add("in_rounds", float64(post.StructuralRounds-preStruct))
+		s.add("in_slot", float64(post.SlotRounds-preSlot))
+
+		// Move-out: remove a safe node.
+		victim, ok := safeLeaveCandidate(net)
+		if !ok {
+			return nil
+		}
+		preStruct, preSlot = post.StructuralRounds, post.SlotRounds
+		if err := net.Leave(victim); err != nil {
+			return err
+		}
+		post = net.Stats()
+		s.add("out_rounds", float64(post.StructuralRounds-preStruct))
+		s.add("out_slot", float64(post.SlotRounds-preSlot))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Reconfiguration cost (Theorems 2 and 3)",
 		"nodes", "movein_rounds", "movein_slot", "moveout_rounds", "moveout_slot", "bound_2h+2d+D")
-	for _, n := range p.Sizes {
-		var inR, inS, outR, outS, bounds []float64
-		for _, seed := range p.seeds() {
-			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			st := net.Stats()
-			bounds = append(bounds, float64(2*st.Height+2*st.DegreeBT+st.DegreeG))
-
-			// Move-in: attach a fresh node next to a random existing one.
-			rng := p.rng(seed * 13)
-			nodes := net.CNet().Tree().Nodes()
-			anchor := nodes[rng.Intn(len(nodes))]
-			nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
-			preStruct, preSlot := net.Stats().StructuralRounds, net.Stats().SlotRounds
-			if err := net.Join(graph.NodeID(n+5000), nbrs); err != nil {
-				return nil, err
-			}
-			post := net.Stats()
-			inR = append(inR, float64(post.StructuralRounds-preStruct))
-			inS = append(inS, float64(post.SlotRounds-preSlot))
-
-			// Move-out: remove a safe node.
-			victim, ok := safeLeaveCandidate(net)
-			if !ok {
-				continue
-			}
-			preStruct, preSlot = post.StructuralRounds, post.SlotRounds
-			if err := net.Leave(victim); err != nil {
-				return nil, err
-			}
-			post = net.Stats()
-			outR = append(outR, float64(post.StructuralRounds-preStruct))
-			outS = append(outS, float64(post.SlotRounds-preSlot))
-		}
-		t.AddRow(stats.F(float64(n)), stats.F(mean(inR)), stats.F(mean(inS)),
-			stats.F(mean(outR)), stats.F(mean(outS)), stats.F(mean(bounds)))
+	for i, n := range p.Sizes {
+		d := data[i]
+		t.AddRow(stats.F(float64(n)), stats.F(mean(d["in_rounds"])), stats.F(mean(d["in_slot"])),
+			stats.F(mean(d["out_rounds"])), stats.F(mean(d["out_slot"])), stats.F(mean(d["bound"])))
 	}
 	return t, nil
 }
@@ -207,34 +221,29 @@ func Areas(p Params, sides []int) (*stats.Table, error) {
 		sides = []int{8, 10, 12}
 	}
 	n := p.Sizes[len(p.Sizes)-1]
+	data, err := sweep(p, sides, func(side int, seed int64, s samples) error {
+		net, ic, df, err := runBoth(p, "areas", side, n, seed)
+		if err != nil {
+			return err
+		}
+		st := net.Stats()
+		s.add("cff", float64(ic.CompletionRound))
+		s.add("dfo", float64(df.CompletionRound))
+		s.add("size", float64(st.BackboneSize))
+		s.add("height", float64(st.BackboneHeight))
+		s.add("D", float64(st.DegreeG))
+		s.add("Delta", float64(st.Delta))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable(fmt.Sprintf("Region-scale sweep (n=%d)", n),
 		"side_units", "cff_rounds", "dfo_rounds", "bt_size", "bt_height", "D", "Delta")
-	for _, side := range sides {
-		q := p
-		q.Side = side
-		var cff, dfo, size, height, dd, delta []float64
-		for _, seed := range q.seeds() {
-			net, _, err := core.Deploy(q.Side, n, seed, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			ic, df, err := runBoth(q, net, n, seed, broadcast.Options{})
-			if err != nil {
-				return nil, err
-			}
-			if !ic.Completed || !df.Completed {
-				return nil, errIncomplete("Areas", n, seed, ic, df)
-			}
-			st := net.Stats()
-			cff = append(cff, float64(ic.CompletionRound))
-			dfo = append(dfo, float64(df.CompletionRound))
-			size = append(size, float64(st.BackboneSize))
-			height = append(height, float64(st.BackboneHeight))
-			dd = append(dd, float64(st.DegreeG))
-			delta = append(delta, float64(st.Delta))
-		}
-		t.AddRow(stats.F(float64(side)), stats.F(mean(cff)), stats.F(mean(dfo)),
-			stats.F(mean(size)), stats.F(mean(height)), stats.F(mean(dd)), stats.F(mean(delta)))
+	for i, side := range sides {
+		d := data[i]
+		t.AddRow(stats.F(float64(side)), stats.F(mean(d["cff"])), stats.F(mean(d["dfo"])),
+			stats.F(mean(d["size"])), stats.F(mean(d["height"])), stats.F(mean(d["D"])), stats.F(mean(d["Delta"])))
 	}
 	return t, nil
 }
@@ -244,32 +253,35 @@ func Areas(p Params, sides []int) (*stats.Table, error) {
 // motivates: the backbone's smaller degree yields smaller slots and a
 // shorter schedule.
 func AblationAlg1VsAlg2(p Params) (*stats.Table, error) {
-	data, err := forEachPoint(p, func(net *core.Network, n int, seed int64) (map[string]float64, error) {
-		a2, err := net.Broadcast(net.Root(), broadcast.Options{})
+	data, err := sweep(p, p.Sizes, func(n int, seed int64, s samples) error {
+		net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		a1, err := net.BroadcastCFF(net.Root(), broadcast.Options{})
+		a2, err := net.Broadcast(net.Root(), p.opts())
 		if err != nil {
-			return nil, err
+			return err
+		}
+		a1, err := net.BroadcastCFF(net.Root(), p.opts())
+		if err != nil {
+			return err
 		}
 		if !a1.Completed || !a2.Completed {
-			return nil, errIncomplete("Ablation", n, seed, a1, a2)
+			return errIncomplete("Ablation", n, seed, a1, a2)
 		}
-		return map[string]float64{
-			"alg1":       float64(a1.CompletionRound),
-			"alg2":       float64(a2.CompletionRound),
-			"alg1_awake": float64(a1.MaxAwake),
-			"alg2_awake": float64(a2.MaxAwake),
-		}, nil
+		s.add("alg1", float64(a1.CompletionRound))
+		s.add("alg2", float64(a2.CompletionRound))
+		s.add("alg1_awake", float64(a1.MaxAwake))
+		s.add("alg2_awake", float64(a2.MaxAwake))
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("Ablation — Algorithm 1 (CNet flooding) vs Algorithm 2 (backbone-first)",
 		"nodes", "alg1_rounds", "alg2_rounds", "alg1_awake", "alg2_awake")
-	for _, n := range p.Sizes {
-		d := data[n]
+	for i, n := range p.Sizes {
+		d := data[i]
 		t.AddRow(stats.F(float64(n)), stats.F(mean(d["alg1"])), stats.F(mean(d["alg2"])),
 			stats.F(mean(d["alg1_awake"])), stats.F(mean(d["alg2_awake"])))
 	}
@@ -281,48 +293,40 @@ func AblationAlg1VsAlg2(p Params) (*stats.Table, error) {
 // (DESIGN.md §5): slot magnitudes and the delivery ratio each achieves in
 // Algorithm 2's shared leaf window.
 func AblationSlotCondition(p Params) (*stats.Table, error) {
+	data, err := sweep(p, p.Sizes, func(n int, seed int64, s samples) error {
+		d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
+		if err != nil {
+			return err
+		}
+		for _, cc := range []struct {
+			cond timeslot.Condition
+			name string
+		}{
+			{timeslot.ConditionPaper, "paper"},
+			{timeslot.ConditionStrict, "strict"},
+		} {
+			net, err := core.Build(d.Graph(), core.Config{SlotCondition: cc.cond})
+			if err != nil {
+				return err
+			}
+			m, err := net.Broadcast(net.Root(), p.opts())
+			if err != nil {
+				return err
+			}
+			s.add(cc.name+"_Delta", float64(net.Stats().Delta))
+			s.add(cc.name+"_delivery", m.DeliveryRatio())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Ablation — paper vs strict l-slot condition",
 		"nodes", "paper_Delta", "strict_Delta", "paper_delivery", "strict_delivery")
-	for _, n := range p.Sizes {
-		var pd, sd, pr, sr []float64
-		for _, seed := range p.seeds() {
-			d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
-			if err != nil {
-				return nil, err
-			}
-			for _, cc := range []struct {
-				cond   timeslot.Condition
-				deltas *[]float64
-			}{
-				{timeslot.ConditionPaper, &pd},
-				{timeslot.ConditionStrict, &sd},
-			} {
-				cond, deltas := cc.cond, cc.deltas
-				net, err := core.Build(d.Graph(), core.Config{SlotCondition: cond})
-				if err != nil {
-					return nil, err
-				}
-				m, err := net.Broadcast(net.Root(), broadcast.Options{})
-				if err != nil {
-					return nil, err
-				}
-				*deltas = append(*deltas, float64(net.Stats().Delta))
-				if cond == timeslot.ConditionPaper {
-					pr = append(pr, m.DeliveryRatio())
-				} else {
-					sr = append(sr, m.DeliveryRatio())
-				}
-			}
-		}
-		t.AddRow(stats.F(float64(n)), stats.F(mean(pd)), stats.F(mean(sd)),
-			fmt.Sprintf("%.4f", mean(pr)), fmt.Sprintf("%.4f", mean(sr)))
+	for i, n := range p.Sizes {
+		d := data[i]
+		t.AddRow(stats.F(float64(n)), stats.F(mean(d["paper_Delta"])), stats.F(mean(d["strict_Delta"])),
+			fmt.Sprintf("%.4f", mean(d["paper_delivery"])), fmt.Sprintf("%.4f", mean(d["strict_delivery"])))
 	}
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

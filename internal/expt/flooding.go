@@ -18,63 +18,62 @@ func Flooding(p Params, forwards []float64) (*stats.Table, error) {
 		forwards = []float64{0.3, 0.5, 0.7, 1.0}
 	}
 	n := p.Sizes[len(p.Sizes)-1]
-	t := stats.NewTable(fmt.Sprintf("Unstructured flooding baseline vs CFF (n=%d)",
-		n), "protocol", "delivery", "last_rx", "collisions", "tx", "max_awake")
-
-	var cffDel, cffDone, cffColl, cffTx, cffAwake []float64
-	var rrDel, rrDone, rrColl, rrTx, rrAwake []float64
-	type floodRow struct{ del, done, coll, tx, awake []float64 }
-	rows := make(map[float64]*floodRow, len(forwards))
+	// Variant keys: the two structured baselines, then one per forward
+	// probability. One deployment per seed serves every variant.
+	keys := []string{"cff", "round-robin"}
 	for _, f := range forwards {
-		rows[f] = &floodRow{}
+		keys = append(keys, fmt.Sprint(f))
 	}
-	for _, seed := range p.seeds() {
+	data, err := sweep(p, []int{n}, func(n int, seed int64, s samples) error {
 		net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cff, err := net.Broadcast(net.Root(), broadcast.Options{})
+		cff, err := net.Broadcast(net.Root(), p.opts())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cffDel = append(cffDel, cff.DeliveryRatio())
-		cffDone = append(cffDone, float64(cff.CompletionRound))
-		cffColl = append(cffColl, float64(cff.Collisions))
-		cffTx = append(cffTx, float64(cff.Transmissions))
-		cffAwake = append(cffAwake, float64(cff.MaxAwake))
-		rr, err := broadcast.RunRoundRobin(net.Graph(), net.Root(), 0, broadcast.Options{})
+		rr, err := broadcast.RunRoundRobin(net.Graph(), net.Root(), 0, p.opts())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rrDel = append(rrDel, rr.DeliveryRatio())
-		rrDone = append(rrDone, float64(rr.CompletionRound))
-		rrColl = append(rrColl, float64(rr.Collisions))
-		rrTx = append(rrTx, float64(rr.Transmissions))
-		rrAwake = append(rrAwake, float64(rr.MaxAwake))
+		runs := []broadcast.Metrics{cff, rr}
 		for _, f := range forwards {
-			m, err := broadcast.RunPFlood(net.Graph(), net.Root(), broadcast.PFloodOptions{
+			plan, err := broadcast.PFloodPlan(net.Graph(), net.Root(), broadcast.PFloodOptions{
 				Seed: seed * 7, Forward: f,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r := rows[f]
-			r.del = append(r.del, m.DeliveryRatio())
-			r.done = append(r.done, float64(m.CompletionRound))
-			r.coll = append(r.coll, float64(m.Collisions))
-			r.tx = append(r.tx, float64(m.Transmissions))
-			r.awake = append(r.awake, float64(m.MaxAwake))
+			m, err := plan.Run(net.Graph(), p.opts())
+			if err != nil {
+				return err
+			}
+			runs = append(runs, m)
 		}
+		for i, m := range runs {
+			s.add(keys[i]+"/delivery", m.DeliveryRatio())
+			s.add(keys[i]+"/done", float64(m.CompletionRound))
+			s.add(keys[i]+"/collisions", float64(m.Collisions))
+			s.add(keys[i]+"/tx", float64(m.Transmissions))
+			s.add(keys[i]+"/awake", float64(m.MaxAwake))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow("cff", fmt.Sprintf("%.3f", mean(cffDel)), stats.F(mean(cffDone)),
-		stats.F(mean(cffColl)), stats.F(mean(cffTx)), stats.F(mean(cffAwake)))
-	t.AddRow("round-robin", fmt.Sprintf("%.3f", mean(rrDel)), stats.F(mean(rrDone)),
-		stats.F(mean(rrColl)), stats.F(mean(rrTx)), stats.F(mean(rrAwake)))
-	for _, f := range forwards {
-		r := rows[f]
-		t.AddRow(fmt.Sprintf("flood_p=%.1f", f), fmt.Sprintf("%.3f", mean(r.del)),
-			stats.F(mean(r.done)), stats.F(mean(r.coll)), stats.F(mean(r.tx)),
-			stats.F(mean(r.awake)))
+	d := data[0]
+	t := stats.NewTable(fmt.Sprintf("Unstructured flooding baseline vs CFF (n=%d)",
+		n), "protocol", "delivery", "last_rx", "collisions", "tx", "max_awake")
+	for i, key := range keys {
+		label := key
+		if i >= 2 {
+			label = fmt.Sprintf("flood_p=%.1f", forwards[i-2])
+		}
+		t.AddRow(label, fmt.Sprintf("%.3f", mean(d[key+"/delivery"])),
+			stats.F(mean(d[key+"/done"])), stats.F(mean(d[key+"/collisions"])),
+			stats.F(mean(d[key+"/tx"])), stats.F(mean(d[key+"/awake"])))
 	}
 	return t, nil
 }

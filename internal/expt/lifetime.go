@@ -26,35 +26,28 @@ func Lifetime(p Params, budget float64) (*stats.Table, error) {
 		budget = 1e5
 	}
 	model := energy.DefaultModel()
-	data, err := forEachPoint(p, func(net *core.Network, n int, seed int64) (map[string]float64, error) {
-		icff, dfo, err := runBoth(p, net, n, seed, broadcast.Options{})
+	data, err := sweep(p, p.Sizes, func(n int, seed int64, s samples) error {
+		_, icff, dfo, err := runBoth(p, "lifetime", p.Side, n, seed)
 		if err != nil {
-			return nil, err
-		}
-		if !icff.Completed || !dfo.Completed {
-			return nil, errIncomplete("Lifetime", n, seed, icff, dfo)
+			return err
 		}
 		// An epoch lasts as long as the slower protocol needs, so both
 		// protocols are compared over identical epoch lengths (the CFF
 		// nodes spend the remainder asleep).
-		epoch := icff.ScheduleLen
-		if dfo.ScheduleLen > epoch {
-			epoch = dfo.ScheduleLen
-		}
+		epoch := max(icff.ScheduleLen, dfo.ScheduleLen)
 		cffLife, _ := energy.Lifetime(model, budget, icff.Listens, icff.Transmits, epoch, lifetimeCap)
 		dfoLife, _ := energy.Lifetime(model, budget, dfo.Listens, dfo.Transmits, epoch, lifetimeCap)
-		return map[string]float64{
-			"cff": float64(cffLife),
-			"dfo": float64(dfoLife),
-		}, nil
+		s.add("cff", float64(cffLife))
+		s.add("dfo", float64(dfoLife))
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable(fmt.Sprintf("Network lifetime (budget %.0f units, 1 broadcast/epoch)", budget),
 		"nodes", "cff_epochs", "dfo_epochs", "extension")
-	for _, n := range p.Sizes {
-		d := data[n]
+	for i, n := range p.Sizes {
+		d := data[i]
 		c, f := mean(d["cff"]), mean(d["dfo"])
 		t.AddRow(stats.F(float64(n)), stats.F(c), stats.F(f), ratio(c, f))
 	}
@@ -67,45 +60,46 @@ func Lifetime(p Params, budget float64) (*stats.Table, error) {
 // delivery when the primary sink dies at round 1.
 func Failover(p Params) (*stats.Table, error) {
 	n := p.Sizes[len(p.Sizes)-1]
-	t := stats.NewTable(fmt.Sprintf("Multi-sink failover (n=%d, primary sink dies)", n),
-		"scenario", "delivery", "attempts", "total_rounds")
-	var single, dual, attempts, rounds []float64
-	for _, seed := range p.seeds() {
+	data, err := sweep(p, []int{n}, func(n int, seed int64, s samples) error {
 		d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		g := d.Graph()
-		secondary := graph.NodeID(n / 2)
-		if secondary == 0 {
-			secondary = 1
-		}
-		m, err := multinet.Build(g, []graph.NodeID{0, secondary}, core.Config{})
+		secondary := graph.NodeID(max(n/2, 1))
+		m, err := multinet.Build(d.Graph(), []graph.NodeID{0, secondary}, core.Config{})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		source := graph.NodeID(n - 1)
-		opts := broadcast.Options{Failures: []broadcast.NodeFailure{{Node: 0, Round: 1}}}
+		opts := p.opts()
+		opts.Failures = []broadcast.NodeFailure{{Node: 0, Round: 1}}
 
 		// Single cluster-net: no fallback.
 		solo, err := m.Nets()[0].Broadcast(source, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		single = append(single, solo.DeliveryRatio())
+		s.add("single", solo.DeliveryRatio())
 
 		// Dual cluster-net with failover.
 		res, err := m.Broadcast(source, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		dual = append(dual, res.Final().DeliveryRatio())
-		attempts = append(attempts, float64(len(res.Attempts)))
-		rounds = append(rounds, float64(res.TotalRounds))
+		s.add("dual", res.Final().DeliveryRatio())
+		s.add("attempts", float64(len(res.Attempts)))
+		s.add("rounds", float64(res.TotalRounds))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow("single-sink", fmt.Sprintf("%.3f", mean(single)), "1", "-")
-	t.AddRow("dual-sink", fmt.Sprintf("%.3f", mean(dual)),
-		stats.F(mean(attempts)), stats.F(mean(rounds)))
+	d := data[0]
+	t := stats.NewTable(fmt.Sprintf("Multi-sink failover (n=%d, primary sink dies)", n),
+		"scenario", "delivery", "attempts", "total_rounds")
+	t.AddRow("single-sink", fmt.Sprintf("%.3f", mean(d["single"])), "1", "-")
+	t.AddRow("dual-sink", fmt.Sprintf("%.3f", mean(d["dual"])),
+		stats.F(mean(d["attempts"])), stats.F(mean(d["rounds"])))
 	return t, nil
 }
 
@@ -113,29 +107,33 @@ func Failover(p Params) (*stats.Table, error) {
 // node move-in (cost grows with total degrees and heights) versus gossip-
 // then-local-computation (O(n) rounds flat).
 func Construction(p Params) (*stats.Table, error) {
+	data, err := sweep(p, p.Sizes, func(n int, seed int64, s samples) error {
+		d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
+		if err != nil {
+			return err
+		}
+		net, err := core.Build(d.Graph(), core.Config{})
+		if err != nil {
+			return err
+		}
+		st := net.Stats()
+		s.add("movein", float64(st.StructuralRounds))
+		s.add("slot", float64(st.SlotRounds))
+		_, gcost, err := cnet.BuildByGossip(d.Graph(), 0, nil)
+		if err != nil {
+			return err
+		}
+		s.add("gossip", float64(gcost.Total()))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Construction cost — incremental move-in vs gossip (Section 5)",
 		"nodes", "movein_rounds", "movein_slot_rounds", "gossip_rounds")
-	for _, n := range p.Sizes {
-		var inc, slot, gos []float64
-		for _, seed := range p.seeds() {
-			d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
-			if err != nil {
-				return nil, err
-			}
-			net, err := core.Build(d.Graph(), core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			st := net.Stats()
-			inc = append(inc, float64(st.StructuralRounds))
-			slot = append(slot, float64(st.SlotRounds))
-			_, gcost, err := cnet.BuildByGossip(d.Graph(), 0, nil)
-			if err != nil {
-				return nil, err
-			}
-			gos = append(gos, float64(gcost.Total()))
-		}
-		t.AddRow(stats.F(float64(n)), stats.F(mean(inc)), stats.F(mean(slot)), stats.F(mean(gos)))
+	for i, n := range p.Sizes {
+		d := data[i]
+		t.AddRow(stats.F(float64(n)), stats.F(mean(d["movein"])), stats.F(mean(d["slot"])), stats.F(mean(d["gossip"])))
 	}
 	return t, nil
 }

@@ -17,35 +17,35 @@ func Loss(p Params, rates []float64) (*stats.Table, error) {
 		rates = []float64{0, 0.1, 0.2, 0.3}
 	}
 	n := p.Sizes[len(p.Sizes)-1]
-	t := stats.NewTable(fmt.Sprintf("Frame loss vs repetition (n=%d)", n),
-		"loss", "x1_delivery", "x3_delivery", "x6_delivery", "x6_rounds")
-	for _, rate := range rates {
-		var d1, d3, d6, r6 []float64
-		for _, seed := range p.seeds() {
-			net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
+	data, err := sweep(p, rates, func(rate float64, seed int64, s samples) error {
+		net, _, err := core.Deploy(p.Side, n, seed, core.Config{})
+		if err != nil {
+			return err
+		}
+		opts := p.opts()
+		opts.LossRate, opts.LossSeed = rate, seed*3
+		for _, rep := range []int{1, 3, 6} {
+			m, err := broadcast.RunReliable(net.Slots(), net.Root(), rep, opts)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			for _, rep := range []int{1, 3, 6} {
-				m, err := broadcast.RunReliable(net.Slots(), net.Root(), rep,
-					broadcast.Options{LossRate: rate, LossSeed: seed * 3})
-				if err != nil {
-					return nil, err
-				}
-				switch rep {
-				case 1:
-					d1 = append(d1, m.DeliveryRatio())
-				case 3:
-					d3 = append(d3, m.DeliveryRatio())
-				case 6:
-					d6 = append(d6, m.DeliveryRatio())
-					r6 = append(r6, float64(m.ScheduleLen))
-				}
+			s.add(fmt.Sprintf("x%d", rep), m.DeliveryRatio())
+			if rep == 6 {
+				s.add("x6_rounds", float64(m.ScheduleLen))
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := stats.NewTable(fmt.Sprintf("Frame loss vs repetition (n=%d)", n),
+		"loss", "x1_delivery", "x3_delivery", "x6_delivery", "x6_rounds")
+	for i, rate := range rates {
+		d := data[i]
 		t.AddRow(fmt.Sprintf("%.2f", rate),
-			fmt.Sprintf("%.3f", mean(d1)), fmt.Sprintf("%.3f", mean(d3)),
-			fmt.Sprintf("%.3f", mean(d6)), stats.F(mean(r6)))
+			fmt.Sprintf("%.3f", mean(d["x1"])), fmt.Sprintf("%.3f", mean(d["x3"])),
+			fmt.Sprintf("%.3f", mean(d["x6"])), stats.F(mean(d["x6_rounds"])))
 	}
 	return t, nil
 }

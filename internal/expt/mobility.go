@@ -2,8 +2,8 @@ package expt
 
 import (
 	"fmt"
+	"sort"
 
-	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
@@ -22,74 +22,69 @@ func Mobility(p Params, wanders []float64) (*stats.Table, error) {
 	}
 	n := p.Sizes[0]
 	moves := 20
+	data, err := sweep(p, wanders, func(wander float64, seed int64, s samples) error {
+		cfg := workload.PaperConfig(seed, p.Side, n)
+		base, events, err := workload.MobilityTrace(cfg, moves, wander)
+		if err != nil {
+			return err
+		}
+		net, err := core.Build(base.Graph(), core.Config{})
+		if err != nil {
+			return err
+		}
+		live := make(map[graph.NodeID]geom.Point)
+		for i, pos := range base.Pos {
+			live[graph.NodeID(i)] = pos
+		}
+		preStruct := net.Stats().StructuralRounds
+		preSlot := net.Stats().SlotRounds
+		for i := 0; i < len(events); i += 2 {
+			lv, jn := events[i], events[i+1]
+			if err := net.Leave(lv.Node); err != nil {
+				return fmt.Errorf("mobility leave: %w", err)
+			}
+			delete(live, lv.Node)
+			var nbrs []graph.NodeID
+			for id, q := range live {
+				if jn.Pos.InRange(q, cfg.Range) {
+					nbrs = append(nbrs, id)
+				}
+			}
+			sort.Slice(nbrs, func(a, b int) bool { return nbrs[a] < nbrs[b] })
+			if err := net.Join(jn.Node, nbrs); err != nil {
+				return fmt.Errorf("mobility join: %w", err)
+			}
+			live[jn.Node] = jn.Pos
+			if err := net.Verify(); err != nil {
+				return fmt.Errorf("mobility invariants after move %d: %w", i/2, err)
+			}
+		}
+		st := net.Stats()
+		s.add("struct", float64(st.StructuralRounds-preStruct)/float64(moves))
+		s.add("slot", float64(st.SlotRounds-preSlot)/float64(moves))
+		m, err := net.Broadcast(net.Root(), p.opts())
+		if err != nil {
+			return err
+		}
+		s.add("bcast", float64(m.CompletionRound))
+		if !m.Completed {
+			s.add("incomplete", 1)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable(fmt.Sprintf("Mobility: reconfiguration under movement (n=%d, %d moves)", n, moves),
 		"wander_x_range", "struct_rounds/move", "slot_rounds/move", "post_bcast_rounds", "always_complete")
-	for _, wander := range wanders {
-		var structR, slotR, bcast []float64
-		allComplete := true
-		for _, seed := range p.seeds() {
-			cfg := workload.PaperConfig(seed, p.Side, n)
-			base, events, err := workload.MobilityTrace(cfg, moves, wander)
-			if err != nil {
-				return nil, err
-			}
-			net, err := core.Build(base.Graph(), core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			live := make(map[graph.NodeID]geom.Point)
-			for i, pos := range base.Pos {
-				live[graph.NodeID(i)] = pos
-			}
-			preStruct := net.Stats().StructuralRounds
-			preSlot := net.Stats().SlotRounds
-			for i := 0; i < len(events); i += 2 {
-				lv, jn := events[i], events[i+1]
-				if err := net.Leave(lv.Node); err != nil {
-					return nil, fmt.Errorf("mobility leave: %w", err)
-				}
-				delete(live, lv.Node)
-				var nbrs []graph.NodeID
-				for id, q := range live {
-					if jn.Pos.InRange(q, cfg.Range) {
-						nbrs = append(nbrs, id)
-					}
-				}
-				sortNodeIDs(nbrs)
-				if err := net.Join(jn.Node, nbrs); err != nil {
-					return nil, fmt.Errorf("mobility join: %w", err)
-				}
-				live[jn.Node] = jn.Pos
-				if err := net.Verify(); err != nil {
-					return nil, fmt.Errorf("mobility invariants after move %d: %w", i/2, err)
-				}
-			}
-			st := net.Stats()
-			structR = append(structR, float64(st.StructuralRounds-preStruct)/float64(moves))
-			slotR = append(slotR, float64(st.SlotRounds-preSlot)/float64(moves))
-			m, err := net.Broadcast(net.Root(), broadcast.Options{})
-			if err != nil {
-				return nil, err
-			}
-			bcast = append(bcast, float64(m.CompletionRound))
-			if !m.Completed {
-				allComplete = false
-			}
-		}
+	for i, wander := range wanders {
+		d := data[i]
 		complete := "yes"
-		if !allComplete {
+		if len(d["incomplete"]) > 0 {
 			complete = "NO"
 		}
-		t.AddRow(stats.F(wander), stats.F(mean(structR)), stats.F(mean(slotR)),
-			stats.F(mean(bcast)), complete)
+		t.AddRow(stats.F(wander), stats.F(mean(d["struct"])), stats.F(mean(d["slot"])),
+			stats.F(mean(d["bcast"])), complete)
 	}
 	return t, nil
-}
-
-func sortNodeIDs(ids []graph.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

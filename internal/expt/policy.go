@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 
-	"dynsens/internal/broadcast"
 	"dynsens/internal/cnet"
 	"dynsens/internal/core"
 	"dynsens/internal/graph"
@@ -18,15 +17,11 @@ import (
 // structural and protocol consequences at the largest configured size.
 func PolicyAblation(p Params) (*stats.Table, error) {
 	n := p.Sizes[len(p.Sizes)-1]
-	t := stats.NewTable(fmt.Sprintf("Parent-policy ablation (n=%d)", n),
-		"policy", "clusters", "bt_size", "height", "Delta", "cff_rounds")
-	type row struct{ clusters, bt, height, delta, rounds []float64 }
-	rows := map[string]*row{"lowest-id": {}, "max-degree": {}, "min-degree": {}}
 	order := []string{"lowest-id", "max-degree", "min-degree"}
-	for _, seed := range p.seeds() {
+	data, err := sweep(p, []int{n}, func(n int, seed int64, s samples) error {
 		d, err := workload.IncrementalConnected(workload.PaperConfig(seed, p.Side, n))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		g := d.Graph()
 		degVal := make(map[graph.NodeID]float64, n)
@@ -40,35 +35,39 @@ func PolicyAblation(p Params) (*stats.Table, error) {
 			"max-degree": cnet.MaxValue(degVal),
 			"min-degree": cnet.MaxValue(negVal),
 		}
-		for _, name := range order { // fixed order: table rows must not depend on map iteration
-			pol := policies[name]
-			net, err := core.Build(g, core.Config{Policy: pol})
+		for _, name := range order {
+			net, err := core.Build(g, core.Config{Policy: policies[name]})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := net.Verify(); err != nil {
-				return nil, fmt.Errorf("policy %s: %w", name, err)
+				return fmt.Errorf("policy %s: %w", name, err)
 			}
-			m, err := net.Broadcast(net.Root(), broadcast.Options{})
+			m, err := net.Broadcast(net.Root(), p.opts())
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !m.Completed {
-				return nil, fmt.Errorf("policy %s: broadcast incomplete", name)
+				return fmt.Errorf("policy %s: broadcast incomplete", name)
 			}
 			st := net.Stats()
-			r := rows[name]
-			r.clusters = append(r.clusters, float64(st.Clusters))
-			r.bt = append(r.bt, float64(st.BackboneSize))
-			r.height = append(r.height, float64(st.Height))
-			r.delta = append(r.delta, float64(st.Delta))
-			r.rounds = append(r.rounds, float64(m.CompletionRound))
+			s.add(name+"/clusters", float64(st.Clusters))
+			s.add(name+"/bt", float64(st.BackboneSize))
+			s.add(name+"/height", float64(st.Height))
+			s.add(name+"/delta", float64(st.Delta))
+			s.add(name+"/rounds", float64(m.CompletionRound))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	d := data[0]
+	t := stats.NewTable(fmt.Sprintf("Parent-policy ablation (n=%d)", n),
+		"policy", "clusters", "bt_size", "height", "Delta", "cff_rounds")
 	for _, name := range order {
-		r := rows[name]
-		t.AddRow(name, stats.F(mean(r.clusters)), stats.F(mean(r.bt)),
-			stats.F(mean(r.height)), stats.F(mean(r.delta)), stats.F(mean(r.rounds)))
+		t.AddRow(name, stats.F(mean(d[name+"/clusters"])), stats.F(mean(d[name+"/bt"])),
+			stats.F(mean(d[name+"/height"])), stats.F(mean(d[name+"/delta"])), stats.F(mean(d[name+"/rounds"])))
 	}
 	return t, nil
 }

@@ -42,6 +42,7 @@ func Heartbeat(net *cnet.CNet, sched *Schedule, opts Options) (HeartbeatReport, 
 		return HeartbeatReport{}, err
 	}
 	eng.SetWorkers(opts.Workers)
+	eng.SetPerf(opts.Perf)
 	eng.SetTraceBatch(opts.Trace)
 	for _, f := range opts.Failures {
 		eng.FailNodeAt(f.Node, f.Round)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 )
 
 func TestHeartbeatAllAlive(t *testing.T) {
@@ -84,5 +85,20 @@ func TestHeartbeatDeadParentDoesNotReport(t *testing.T) {
 	}
 	if !foundVictim {
 		t.Fatalf("parent %d did not report dead child %d: %v", parent, victim, rep.Missing)
+	}
+}
+
+// TestHeartbeatReportsPerf checks the heartbeat epoch folds into a shared
+// radio.Perf like every other engine run.
+func TestHeartbeatReportsPerf(t *testing.T) {
+	net := buildNet(t, 3, 60)
+	perf := radio.NewPerf()
+	rep, err := Heartbeat(net, NewSchedule(net), Options{Perf: perf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := perf.Snapshot()
+	if snap.Runs != 1 || snap.Rounds != int64(rep.Rounds) {
+		t.Fatalf("perf runs=%d rounds=%d, want 1 run of %d rounds", snap.Runs, snap.Rounds, rep.Rounds)
 	}
 }

@@ -100,12 +100,38 @@ for ext in dsfr jsonl prom; do
 done
 echo "flag run and scenario file write identical recording, events and metrics"
 
+echo "== experiments smoke"
+# Every experiment runs its (row, seed) points through one sweep loop
+# (docs/observability.md): the quick report must not depend on the sweep's
+# worker count and must match the pinned golden, and -flight-dir must
+# record the ICFF run of every Fig. 8, Fig. 9, lifetime and areas point
+# (18 at -quick) as its own file, each passing the offline verifier.
+go build -o "$replay_dir/experiments" ./cmd/experiments
+go build -o "$replay_dir/nettool" ./cmd/nettool
+"$replay_dir/experiments" -quick -workers 1 > "$replay_dir/quick_w1.txt"
+"$replay_dir/experiments" -quick -workers 4 > "$replay_dir/quick_w4.txt"
+cmp "$replay_dir/quick_w1.txt" "$replay_dir/quick_w4.txt"
+cmp "$replay_dir/quick_w1.txt" internal/expt/testdata/quick.golden
+"$replay_dir/experiments" -quick -fig all -flight-dir "$replay_dir/flights" > /dev/null
+set -- "$replay_dir"/flights/*.dsfr
+if [ "$#" -ne 18 ]; then
+    echo "experiments -flight-dir wrote $# recordings, want 18" >&2
+    exit 1
+fi
+for rec in "$@"; do
+    if ! "$replay_dir/nettool" replay "$rec" | grep -q 'verifier: PASS'; then
+        echo "$rec failed offline verification" >&2
+        exit 1
+    fi
+done
+echo "quick report worker-independent and golden; $# flight recordings verify"
+
 echo "== scenario smoke"
 # One scenario recorded live, then re-verified offline from the .dsfr
 # alone: the third entry point of the scenario DSL (after go test and
 # dynsim -scenario). A negative fixture must fail with exit 1 — the
-# corpus proves assertions can pass; this proves they can fail.
-go build -o "$replay_dir/nettool" ./cmd/nettool
+# corpus proves assertions can pass; this proves they can fail. Reuses the
+# experiments smoke's nettool.
 "$replay_dir/nettool" scenario run testdata/scenarios/positive/sparse-rgg-icff.dsn \
     -record "$replay_dir/scenario.dsfr" > /dev/null
 "$replay_dir/nettool" scenario verify testdata/scenarios/positive/sparse-rgg-icff.dsn \
