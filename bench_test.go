@@ -20,9 +20,9 @@ import (
 	"dynsens/internal/discovery"
 	"dynsens/internal/energy"
 	"dynsens/internal/expt"
-	"dynsens/internal/gather"
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 	"dynsens/internal/workload"
 )
@@ -223,11 +223,11 @@ func BenchmarkRobustness(b *testing.B) {
 	var cff, dfo float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mc, err := net.Broadcast(net.Root(), broadcast.Options{Failures: fails})
+		mc, err := net.Broadcast(net.Root(), broadcast.Options{Config: radio.Config{Failures: fails}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		md, err := net.BroadcastDFO(net.Root(), broadcast.Options{Failures: fails})
+		md, err := net.BroadcastDFO(net.Root(), broadcast.Options{Config: radio.Config{Failures: fails}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func BenchmarkGather(b *testing.B) {
 	var rounds, awake int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := net.Gather(values, gather.Options{})
+		m, err := net.Gather(values, radio.Config{})
 		if err != nil || m.Sum != want {
 			b.Fatalf("gather failed: %v %s", err, m)
 		}
@@ -432,7 +432,7 @@ func BenchmarkSkewGuard(b *testing.B) {
 			var delivery float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := plan.Run(net.Graph(), broadcast.Options{Skew: skew})
+				m, err := plan.Run(net.Graph(), broadcast.Options{Config: radio.Config{Skew: skew}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -469,7 +469,7 @@ func BenchmarkDiscovery(b *testing.B) {
 	var rounds int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := discovery.Run(g, 250, discovery.Options{Seed: int64(i + 1)})
+		res, err := discovery.Run(g, 250, int64(i+1), radio.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

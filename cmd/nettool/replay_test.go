@@ -11,6 +11,7 @@ import (
 	"dynsens/internal/core"
 	"dynsens/internal/flight"
 	"dynsens/internal/netio"
+	"dynsens/internal/radio"
 )
 
 // recordFixture writes a flight recording of one deterministic ICFF run to
@@ -87,7 +88,7 @@ func TestReplayCleanRun(t *testing.T) {
 func TestReplayWhyMissed(t *testing.T) {
 	// High loss with a fixed seed leaves part of the 40-node network
 	// unreached; find a node the run missed and ask the replayer why.
-	opts := broadcast.Options{Channels: 1, LossRate: 0.85, LossSeed: 4}
+	opts := broadcast.Options{Config: radio.Config{LossRate: 0.85, LossSeed: 4}, Channels: 1}
 	path, net := recordFixture(t, 40, 3, opts)
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/energy"
-	"dynsens/internal/gather"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -52,7 +52,7 @@ func main() {
 		}
 
 		// Uplink: exact in-network aggregation.
-		agg, err := net.Gather(readings, gather.Options{})
+		agg, err := net.Gather(readings, radio.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"dynsens/internal/core"
 	"dynsens/internal/graph"
 	"dynsens/internal/joinproto"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func main() {
 	}
 
 	// Self-construction: 79 joins, each starting from zero knowledge.
-	boot, err := joinproto.Bootstrap(deployment, core.Config{}, 1)
+	boot, err := joinproto.Bootstrap(deployment, core.Config{}, 1, radio.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func main() {
 	// A latecomer is deployed next to node 40.
 	anchor := graph.NodeID(40)
 	nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
-	join, err := joinproto.Join(net, 500, nbrs, 99)
+	join, err := joinproto.Join(net, 500, nbrs, 99, radio.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func main() {
 	if !found {
 		log.Fatal("no safely removable node")
 	}
-	leave, err := joinproto.Leave(net, victim)
+	leave, err := joinproto.Leave(net, victim, radio.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

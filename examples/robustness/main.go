@@ -11,6 +11,7 @@ import (
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -34,11 +35,11 @@ func main() {
 			fails = append(fails, broadcast.NodeFailure{Node: f.Node, Round: f.Round})
 		}
 
-		cff, err := net.Broadcast(net.Root(), broadcast.Options{Failures: fails})
+		cff, err := net.Broadcast(net.Root(), broadcast.Options{Config: radio.Config{Failures: fails}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		dfo, err := net.BroadcastDFO(net.Root(), broadcast.Options{Failures: fails})
+		dfo, err := net.BroadcastDFO(net.Root(), broadcast.Options{Config: radio.Config{Failures: fails}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"dynsens/internal/cnet"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 	"dynsens/internal/workload"
 )
@@ -195,10 +196,7 @@ func TestDFOStallsOnFailure(t *testing.T) {
 		t.Skip("backbone too small")
 	}
 	victim := tour[1]
-	m, err := RunDFO(a.Net(), 0, Options{
-		Failures:  []NodeFailure{{Node: victim, Round: 2}},
-		MaxRounds: 4 * len(tour),
-	})
+	m, err := RunDFO(a.Net(), 0, Options{Config: radio.Config{Failures: []NodeFailure{{Node: victim, Round: 2}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +211,11 @@ func TestICFFSurvivesSameFailureBetter(t *testing.T) {
 	tour := bt.EulerTour(bt.Root())
 	victim := tour[1]
 	fail := []NodeFailure{{Node: victim, Round: 2}}
-	icff, err := RunICFF(a, 0, Options{Failures: fail})
+	icff, err := RunICFF(a, 0, Options{Config: radio.Config{Failures: fail}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfo, err := RunDFO(a.Net(), 0, Options{Failures: fail, MaxRounds: 4 * len(tour)})
+	dfo, err := RunDFO(a.Net(), 0, Options{Config: radio.Config{Failures: fail}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +258,7 @@ func TestGuardToleratesSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := guarded.Run(g, Options{Skew: skew})
+	m, err := guarded.Run(g, Options{Config: radio.Config{Skew: skew}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +270,7 @@ func TestGuardToleratesSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := plain.Run(g, Options{Skew: skew})
+	mp, err := plain.Run(g, Options{Config: radio.Config{Skew: skew}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,9 +306,9 @@ func TestLinkFailureDegradesNotCrashes(t *testing.T) {
 	if len(children) == 0 {
 		t.Skip("root has no children")
 	}
-	m, err := RunICFF(a, 0, Options{
+	m, err := RunICFF(a, 0, Options{Config: radio.Config{
 		LinkFailures: []LinkFailure{{A: tr.Root(), B: children[0], Round: 1}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dynsens/internal/flight"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/radio/rounds"
 	"dynsens/internal/timeslot"
 )
@@ -45,11 +46,14 @@ func TestDistRuntimeByteIdentical(t *testing.T) {
 				return plan, g
 			},
 			opts: Options{
+				Config: radio.Config{
+					LossRate:     0.25,
+					LossSeed:     99,
+					Failures:     []NodeFailure{{Node: nodes[len(nodes)/2], Round: 3}, {Node: nodes[len(nodes)/3], Round: 5}},
+					LinkFailures: []LinkFailure{{A: nodes[1], B: nodes[2], Round: 2}},
+					Skew:         map[graph.NodeID]int{nodes[4]: 1, nodes[7]: -1},
+				},
 				Channels: 2,
-				LossRate: 0.25, LossSeed: 99,
-				Failures:     []NodeFailure{{Node: nodes[len(nodes)/2], Round: 3}, {Node: nodes[len(nodes)/3], Round: 5}},
-				LinkFailures: []LinkFailure{{A: nodes[1], B: nodes[2], Round: 2}},
-				Skew:         map[graph.NodeID]int{nodes[4]: 1, nodes[7]: -1},
 			},
 		},
 		{
@@ -61,7 +65,7 @@ func TestDistRuntimeByteIdentical(t *testing.T) {
 				}
 				return plan, g
 			},
-			opts: Options{LossRate: 0.1, LossSeed: 7},
+			opts: Options{Config: radio.Config{LossRate: 0.1, LossSeed: 7}},
 		},
 	}
 	for _, tc := range cases {
@@ -104,25 +108,32 @@ func TestDistRuntimeNemesisVerifies(t *testing.T) {
 	}{
 		{
 			name: "loss",
-			opts: Options{LossRate: 0.3, LossSeed: 5},
+			opts: Options{Config: radio.Config{LossRate: 0.3, LossSeed: 5}},
 		},
 		{
 			name: "partition-heals",
-			opts: Options{Partitions: []rounds.Partition{{From: 3, To: 6, Side: side}}},
+			opts: Options{Config: radio.Config{Partitions: []rounds.Partition{{From: 3, To: 6, Side: side}}}},
 		},
 		{
 			name: "churn-crashes",
-			opts: Options{Failures: []NodeFailure{
-				{Node: nodes[len(nodes)/4], Round: 4},
-				{Node: nodes[len(nodes)/2], Round: 7},
-			}},
+			opts: Options{
+				Config: radio.Config{
+					Failures: []NodeFailure{
+						{Node: nodes[len(nodes)/4], Round: 4},
+						{Node: nodes[len(nodes)/2], Round: 7},
+					},
+				},
+			},
 		},
 		{
 			name: "all-at-once",
 			opts: Options{
-				LossRate: 0.15, LossSeed: 11,
-				Partitions: []rounds.Partition{{From: 2, To: 4, Side: side}},
-				Failures:   []NodeFailure{{Node: nodes[len(nodes)-2], Round: 5}},
+				Config: radio.Config{
+					LossRate:   0.15,
+					LossSeed:   11,
+					Partitions: []rounds.Partition{{From: 2, To: 4, Side: side}},
+					Failures:   []NodeFailure{{Node: nodes[len(nodes)-2], Round: 5}},
+				},
 			},
 		},
 	}

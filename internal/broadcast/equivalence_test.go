@@ -76,11 +76,14 @@ func TestRunByteIdenticalAcrossWorkers(t *testing.T) {
 				return plan, g
 			},
 			opts: Options{
+				Config: radio.Config{
+					LossRate:     0.25,
+					LossSeed:     99,
+					Failures:     []NodeFailure{{Node: nodes[len(nodes)/2], Round: 3}, {Node: nodes[len(nodes)/3], Round: 5}},
+					LinkFailures: []LinkFailure{{A: nodes[1], B: nodes[2], Round: 2}},
+					Skew:         map[graph.NodeID]int{nodes[4]: 1, nodes[7]: -1},
+				},
 				Channels: 2,
-				LossRate: 0.25, LossSeed: 99,
-				Failures:     []NodeFailure{{Node: nodes[len(nodes)/2], Round: 3}, {Node: nodes[len(nodes)/3], Round: 5}},
-				LinkFailures: []LinkFailure{{A: nodes[1], B: nodes[2], Round: 2}},
-				Skew:         map[graph.NodeID]int{nodes[4]: 1, nodes[7]: -1},
 			},
 		},
 		{
@@ -103,7 +106,7 @@ func TestRunByteIdenticalAcrossWorkers(t *testing.T) {
 				}
 				return plan, g
 			},
-			opts: Options{LossRate: 0.1, LossSeed: 7},
+			opts: Options{Config: radio.Config{LossRate: 0.1, LossSeed: 7}},
 		},
 	}
 	workerSet := []int{2, 3, 8, runtime.NumCPU()}
@@ -134,7 +137,7 @@ func TestRunByteIdenticalAcrossWorkers(t *testing.T) {
 func TestRunByteIdenticalRingRecorder(t *testing.T) {
 	a := buildAssigned(t, 5, 140, timeslot.ConditionStrict)
 	g := a.Net().Graph()
-	opts := Options{LossRate: 0.2, LossSeed: 17}
+	opts := Options{Config: radio.Config{LossRate: 0.2, LossSeed: 17}}
 	run := func(workers int) ([]byte, []radio.Event, int) {
 		plan, err := ICFFPlan(a, 0, 1, nil, nil)
 		if err != nil {

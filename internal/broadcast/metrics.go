@@ -8,7 +8,6 @@ import (
 	"dynsens/internal/graph"
 	"dynsens/internal/obs"
 	"dynsens/internal/radio"
-	"dynsens/internal/radio/rounds"
 )
 
 // Runtimes a plan can execute on.
@@ -24,46 +23,18 @@ const (
 )
 
 // NodeFailure kills a node at the start of a round during the run.
-type NodeFailure struct {
-	Node  graph.NodeID
-	Round int
-}
+type NodeFailure = radio.NodeFailure
 
 // LinkFailure cuts a link at the start of a round during the run.
-type LinkFailure struct {
-	A, B  graph.NodeID
-	Round int
-}
+type LinkFailure = radio.LinkFailure
 
-// Options tune a protocol run.
+// Options tune a protocol run: the engine configuration every protocol
+// takes (faults, sinks, workers; see radio.Config), plus what only a plan
+// run has.
 type Options struct {
+	radio.Config
 	// Channels is the number of radio channels k (default 1).
 	Channels int
-	// Failures are node deaths to inject.
-	Failures []NodeFailure
-	// LinkFailures are link cuts to inject.
-	LinkFailures []LinkFailure
-	// MaxRounds overrides the engine round budget (default: the schedule
-	// length).
-	MaxRounds int
-	// Skew assigns per-node clock offsets in rounds (Section 3.3's
-	// imperfect synchronization); combine with guard slots to tolerate it.
-	Skew map[graph.NodeID]int
-	// LossRate drops each frame independently with this probability
-	// (fading model); LossSeed drives the coins.
-	LossRate float64
-	LossSeed int64
-	// Workers sets the radio engine's shard-worker count
-	// (radio.Engine.SetWorkers): 0 keeps the engine default (GOMAXPROCS,
-	// inline below the engine's small-graph threshold). Results and
-	// recordings are byte-identical at any value; this only trades
-	// wall-clock time.
-	Workers int
-	// TraceBatch receives engine events in per-shard batches when non-nil
-	// (radio.Engine.SetTraceBatch): one call per shard buffer per phase
-	// per round, in the deterministic event order. The engine reuses the
-	// batch slice — copy events to retain them.
-	TraceBatch func([]radio.Event)
 	// Obs, when non-nil, receives the run's instrumentation: radio event
 	// counters and awake histograms under a protocol label, plus the
 	// run-level broadcast metrics (see docs/observability.md). Safe to
@@ -74,12 +45,6 @@ type Options struct {
 	// summarizing the outcome. The caller owns the writer (header,
 	// topology and Close); see internal/flight.
 	Flight *flight.Writer
-	// Perf, when non-nil, collects kernel performance introspection for
-	// the run (radio.Engine.SetPerf): per-phase wall times, per-shard busy
-	// times, round/event throughput. Strictly read-only — results, traces
-	// and recordings are byte-identical with or without it. Safe to share
-	// across concurrent runs; see internal/obs/perf for rendering.
-	Perf *radio.Perf
 	// Runtime selects the execution substrate: RuntimeKernel (default) or
 	// RuntimeDist. Both produce byte-identical metrics, traces and
 	// recordings for the same plan and options — the distributed runtime's
@@ -90,10 +55,6 @@ type Options struct {
 	// Supply a dist.ProcFleet of cmd/dnode children or a dist.TCPFleet for
 	// process or network isolation. RuntimeDist only.
 	Fleet dist.Fleet
-	// Partitions silence the links across a node-set cut for a round
-	// window, then heal (radio.Engine.SetPartitions); each swallowed frame
-	// is recorded as a loss.
-	Partitions []rounds.Partition
 }
 
 func (o Options) channels() int {
@@ -227,14 +188,15 @@ func (p *Plan) Preload(has map[graph.NodeID]bool) {
 	}
 }
 
-// newEngine builds the runtime opts.Runtime selects. Both runtimes are the
-// same *radio.Engine — the distributed one hosts its nodes behind a
-// dist.Coordinator — so every sink, failure and skew knob is plumbed
-// identically, which is what makes their recordings byte-comparable.
+// newEngine builds the runtime opts.Runtime selects, running under
+// opts.Config. Both runtimes are the same *radio.Engine — the distributed
+// one hosts its nodes behind a dist.Coordinator — so every sink, failure
+// and skew setting reaches them identically, which is what makes their
+// recordings byte-comparable.
 func (p *Plan) newEngine(g *graph.Graph, opts Options) (*radio.Engine, func(), error) {
 	switch opts.Runtime {
 	case "", RuntimeKernel:
-		eng, err := radio.NewEngine(g, p.Programs)
+		eng, err := radio.NewEngine(g, p.Programs, opts.Config)
 		return eng, func() {}, err
 	case RuntimeDist:
 		fleet := opts.Fleet
@@ -242,7 +204,7 @@ func (p *Plan) newEngine(g *graph.Graph, opts Options) (*radio.Engine, func(), e
 		if fleet == nil {
 			fleet = dist.NewLocalFleet(p.Programs)
 		}
-		coord, err := dist.NewCoordinator(g, fleet)
+		coord, err := dist.NewCoordinator(g, fleet, opts.Config)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -259,58 +221,32 @@ func (p *Plan) newEngine(g *graph.Graph, opts Options) (*radio.Engine, func(), e
 	return nil, nil, fmt.Errorf("broadcast: unknown runtime %q (kernel|dist)", opts.Runtime)
 }
 
-// Run executes the plan on the given graph.
+// Run executes the plan on the given graph. The engine runs for the
+// schedule plus the largest clock skew, so a late node still gets its
+// slots.
 func (p *Plan) Run(g *graph.Graph, opts Options) (Metrics, error) {
-	eng, done, err := p.newEngine(g, opts)
-	if err != nil {
-		return Metrics{}, err
-	}
-	defer done()
-	eng.SetWorkers(opts.Workers)
-	eng.SetPerf(opts.Perf)
-	eng.SetPartitions(opts.Partitions)
 	var col *obs.RadioCollector
 	if opts.Obs != nil {
 		col = obs.NewRadioCollector(opts.Obs, obs.L("protocol", p.Protocol))
 	}
 	// The caller's hook, the obs collector and the flight writer share the
 	// batched hook — one sink call per shard buffer per phase per round.
-	batch := opts.TraceBatch
 	if col != nil {
-		batch = obs.ChainBatchHooks(batch, col.BatchHook())
+		opts.TraceBatch = obs.ChainBatchHooks(opts.TraceBatch, col.BatchHook())
 	}
 	if opts.Flight != nil {
-		batch = obs.ChainBatchHooks(batch, opts.Flight.BatchHook())
+		opts.TraceBatch = obs.ChainBatchHooks(opts.TraceBatch, opts.Flight.BatchHook())
 	}
-	if batch != nil {
-		eng.SetTraceBatch(batch)
+	eng, done, err := p.newEngine(g, opts)
+	if err != nil {
+		return Metrics{}, err
 	}
-	for _, f := range opts.Failures {
-		eng.FailNodeAt(f.Node, f.Round)
-	}
-	for _, f := range opts.LinkFailures {
-		eng.FailLinkAt(f.A, f.B, f.Round)
-	}
-	if opts.LossRate > 0 {
-		if err := eng.SetLoss(opts.LossRate, opts.LossSeed); err != nil {
-			return Metrics{}, err
-		}
-	}
+	defer done()
 	maxSkew := 0
-	for id, off := range opts.Skew {
-		eng.SetClockSkew(id, off)
-		if off > maxSkew {
-			maxSkew = off
-		}
-		if -off > maxSkew {
-			maxSkew = -off
-		}
+	for _, off := range opts.Skew {
+		maxSkew = max(maxSkew, off, -off)
 	}
-	budget := p.ScheduleLen + maxSkew
-	if opts.MaxRounds > 0 {
-		budget = opts.MaxRounds
-	}
-	res := eng.Run(budget)
+	res := eng.Run(p.ScheduleLen + maxSkew)
 
 	m := Metrics{
 		Protocol:      p.Protocol,

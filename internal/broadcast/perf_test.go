@@ -29,11 +29,14 @@ func TestPerfDoesNotPerturb(t *testing.T) {
 		return plan, g
 	}
 	base := Options{
+		Config: radio.Config{
+			LossRate:     0.25,
+			LossSeed:     99,
+			Failures:     []NodeFailure{{Node: nodes[len(nodes)/2], Round: 3}, {Node: nodes[len(nodes)/3], Round: 5}},
+			LinkFailures: []LinkFailure{{A: nodes[1], B: nodes[2], Round: 2}},
+			Skew:         map[graph.NodeID]int{nodes[4]: 1, nodes[7]: -1},
+		},
 		Channels: 2,
-		LossRate: 0.25, LossSeed: 99,
-		Failures:     []NodeFailure{{Node: nodes[len(nodes)/2], Round: 3}, {Node: nodes[len(nodes)/3], Round: 5}},
-		LinkFailures: []LinkFailure{{A: nodes[1], B: nodes[2], Round: 2}},
-		Skew:         map[graph.NodeID]int{nodes[4]: 1, nodes[7]: -1},
 	}
 	for _, rt := range []string{RuntimeKernel, RuntimeDist} {
 		for _, workers := range []int{1, 4} {

@@ -3,6 +3,7 @@ package broadcast
 import (
 	"testing"
 
+	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 )
 
@@ -12,7 +13,7 @@ func TestLossDegradesSingleRun(t *testing.T) {
 	if err != nil || !clean.Completed {
 		t.Fatalf("clean run: %v %s", err, clean)
 	}
-	lossy, err := RunICFF(a, 0, Options{LossRate: 0.3, LossSeed: 1})
+	lossy, err := RunICFF(a, 0, Options{Config: radio.Config{LossRate: 0.3, LossSeed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +27,11 @@ func TestReliableRepetitionRecovers(t *testing.T) {
 	// Seed-sensitive threshold: 4 is a representative draw under the
 	// counter-stream coin scheme (most seeds land 0.93–0.99 here; the
 	// distribution, not one seed, is what the 0.95 bound speaks to).
-	single, err := RunReliable(a, 0, 1, Options{LossRate: 0.3, LossSeed: 4})
+	single, err := RunReliable(a, 0, 1, Options{Config: radio.Config{LossRate: 0.3, LossSeed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunReliable(a, 0, 6, Options{LossRate: 0.3, LossSeed: 4})
+	multi, err := RunReliable(a, 0, 6, Options{Config: radio.Config{LossRate: 0.3, LossSeed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,18 +76,21 @@ func TestReliableRejectsBadRepeats(t *testing.T) {
 
 func TestLossRateValidation(t *testing.T) {
 	a := buildAssigned(t, 24, 20, timeslot.ConditionStrict)
-	if _, err := RunICFF(a, 0, Options{LossRate: 1.5}); err == nil {
+	if _, err := RunICFF(a, 0, Options{Config: radio.Config{LossRate: 1.5}}); err == nil {
 		t.Fatal("loss rate 1.5 accepted")
+	}
+	if _, err := RunICFF(a, 0, Options{Config: radio.Config{LossRate: -0.1}}); err == nil {
+		t.Fatal("loss rate -0.1 accepted")
 	}
 }
 
 func TestLossDeterministicPerSeed(t *testing.T) {
 	a := buildAssigned(t, 25, 100, timeslot.ConditionStrict)
-	m1, err := RunICFF(a, 0, Options{LossRate: 0.2, LossSeed: 9})
+	m1, err := RunICFF(a, 0, Options{Config: radio.Config{LossRate: 0.2, LossSeed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := RunICFF(a, 0, Options{LossRate: 0.2, LossSeed: 9})
+	m2, err := RunICFF(a, 0, Options{Config: radio.Config{LossRate: 0.2, LossSeed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}

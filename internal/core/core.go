@@ -27,6 +27,7 @@ import (
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
 	"dynsens/internal/multicast"
+	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 	"dynsens/internal/workload"
 )
@@ -201,13 +202,13 @@ func (n *Network) Multicast(g int, source graph.NodeID, opts broadcast.Options) 
 // Gather runs a collision-free convergecast: every node contributes
 // values[id] (missing entries contribute 0) and the sink receives the
 // exact aggregate sum plus a reporting count. The g-slot schedule is
-// recomputed for the current structure.
-func (n *Network) Gather(values map[graph.NodeID]int64, opts gather.Options) (gather.Metrics, error) {
+// recomputed for the current structure; the run goes under cfg.
+func (n *Network) Gather(values map[graph.NodeID]int64, cfg radio.Config) (gather.Metrics, error) {
 	s := gather.NewSchedule(n.net)
 	if err := s.Verify(); err != nil {
 		return gather.Metrics{}, err
 	}
-	return gather.Run(n.net, s, values, opts)
+	return gather.Run(n.net, s, values, cfg)
 }
 
 // Verify machine-checks every invariant: cluster structure (Definition 1,

@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 
 	"dynsens/internal/broadcast"
-	"dynsens/internal/gather"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -183,7 +183,7 @@ func TestGatherThroughFacade(t *testing.T) {
 		values[id] = 3
 		want += 3
 	}
-	m, err := n.Gather(values, gather.Options{})
+	m, err := n.Gather(values, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestGatherThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(values, victim)
-	m2, err := n.Gather(values, gather.Options{})
+	m2, err := n.Gather(values, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

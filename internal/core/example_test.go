@@ -5,8 +5,8 @@ import (
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
-	"dynsens/internal/gather"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 )
 
 // tinyGraph builds a deterministic 6-node topology:
@@ -51,7 +51,7 @@ func Example() {
 
 	// Exact aggregation.
 	sums := map[graph.NodeID]int64{0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
-	gm, _ := net.Gather(sums, gather.Options{})
+	gm, _ := net.Gather(sums, radio.Config{})
 	fmt.Printf("gathered sum %d from %d nodes\n", gm.Sum, gm.Reporting)
 
 	// Output:

@@ -22,6 +22,7 @@ package discovery
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"dynsens/internal/graph"
 	"dynsens/internal/radio"
@@ -46,15 +47,6 @@ const (
 	// maxRounds hard-bounds the run.
 	maxRounds = 4096
 )
-
-// Options tune a discovery run.
-type Options struct {
-	// Seed drives all coin flips.
-	Seed int64
-	// Workers sets the radio engine's shard-worker count (see
-	// radio.Engine.SetWorkers); 0 keeps the engine default.
-	Workers int
-}
 
 // Result reports a discovery run.
 type Result struct {
@@ -202,13 +194,14 @@ func (p *responderProg) Deliver(round int, msg radio.Message) {
 func (p *responderProg) Done() bool { return p.acked }
 
 // Run executes neighbor discovery for joiner over the ground-truth graph
-// g (which must already contain joiner and its edges). Non-neighbors stay
-// silent; the engine enforces who can actually hear whom.
-func Run(g *graph.Graph, joiner graph.NodeID, opts Options) (Result, error) {
+// g (which must already contain joiner and its edges), under cfg. seed
+// drives all coin flips. Non-neighbors stay silent; the engine enforces
+// who can actually hear whom.
+func Run(g *graph.Graph, joiner graph.NodeID, seed int64, cfg radio.Config) (Result, error) {
 	if !g.HasNode(joiner) {
 		return Result{}, fmt.Errorf("discovery: joiner %d not in graph", joiner)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	jp := &joinerProg{id: joiner, discovered: make(map[graph.NodeID]bool)}
 	progs := map[graph.NodeID]radio.Program{joiner: jp}
 	for _, id := range g.Nodes() {
@@ -225,11 +218,10 @@ func Run(g *graph.Graph, joiner graph.NodeID, opts Options) (Result, error) {
 			progs[id] = silent{}
 		}
 	}
-	eng, err := radio.NewEngine(g, progs)
+	eng, err := radio.NewEngine(g, progs, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	eng.SetWorkers(opts.Workers)
 	res := eng.Run(maxRounds)
 
 	out := Result{
@@ -240,7 +232,7 @@ func Run(g *graph.Graph, joiner graph.NodeID, opts Options) (Result, error) {
 	for id := range jp.discovered {
 		out.Discovered = append(out.Discovered, id)
 	}
-	sortIDs(out.Discovered)
+	sort.Slice(out.Discovered, func(i, j int) bool { return out.Discovered[i] < out.Discovered[j] })
 	truth := g.Neighbors(joiner)
 	out.Complete = len(out.Discovered) == len(truth)
 	for i := range truth {
@@ -266,11 +258,3 @@ type silent struct{}
 func (silent) Act(int) radio.Action       { return radio.SleepAction() }
 func (silent) Deliver(int, radio.Message) {}
 func (silent) Done() bool                 { return true }
-
-func sortIDs(ids []graph.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func star(n int) *graph.Graph {
 
 func TestDiscoverSingleNeighbor(t *testing.T) {
 	g := star(1)
-	res, err := Run(g, 0, Options{Seed: 1})
+	res, err := Run(g, 0, 1, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestDiscoverNoNeighbors(t *testing.T) {
 	g := graph.New()
 	g.AddNode(0)
 	g.AddNode(1) // not adjacent
-	res, err := Run(g, 0, Options{Seed: 1})
+	res, err := Run(g, 0, 1, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestDiscoverNoNeighbors(t *testing.T) {
 func TestDiscoverManyNeighbors(t *testing.T) {
 	for _, d := range []int{2, 5, 10, 20} {
 		g := star(d)
-		res, err := Run(g, 0, Options{Seed: int64(d)})
+		res, err := Run(g, 0, int64(d), radio.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestDiscoveryRoundsGrowWithDegree(t *testing.T) {
 		total := 0
 		const reps = 10
 		for s := int64(0); s < reps; s++ {
-			res, err := Run(star(d), 0, Options{Seed: s})
+			res, err := Run(star(d), 0, s, radio.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +85,7 @@ func TestDiscoveryOnRealDeployment(t *testing.T) {
 	g := d.Graph()
 	// The joiner is an existing node; everyone else responds only if
 	// adjacent, and distant nodes must not appear.
-	res, err := Run(g, 30, Options{Seed: 7})
+	res, err := Run(g, 30, 7, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +102,18 @@ func TestDiscoveryOnRealDeployment(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	g := graph.New()
 	g.AddNode(0)
-	if _, err := Run(g, 5, Options{}); err == nil {
+	if _, err := Run(g, 5, 0, radio.Config{}); err == nil {
 		t.Fatal("absent joiner accepted")
 	}
 }
 
 func TestDeterministicPerSeed(t *testing.T) {
 	g := star(8)
-	a, err := Run(g, 0, Options{Seed: 42})
+	a, err := Run(g, 0, 42, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, 0, Options{Seed: 42})
+	b, err := Run(g, 0, 42, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestDiscoveryProperty(t *testing.T) {
 	f := func(seed int64, dRaw uint8) bool {
 		d := int(dRaw%25) + 1
 		g := star(d)
-		res, err := Run(g, 0, Options{Seed: seed})
+		res, err := Run(g, 0, seed, radio.Config{})
 		if err != nil {
 			return false
 		}

@@ -16,9 +16,9 @@ import (
 const DefaultRoundTimeout = 10 * time.Second
 
 // Coordinator runs a fleet of actor nodes on the radio kernel. It embeds
-// the *radio.Engine that drives the run — Run, the failure, skew, loss,
-// partition, trace and perf knobs are the engine's own — and is that
-// engine's NodeHost: each shard's act and finish phases become one barrier
+// the *radio.Engine that drives the run — Run, and the failure, skew,
+// loss, partition, trace and perf settings of its radio.Config, are the
+// engine's own — and is that engine's NodeHost: each shard's act and finish phases become one barrier
 // over the shard's node range, Act (collect the node's action) and Finish
 // (apply its delivery, collect its Done bit). Audibility, loss coins and
 // event order are therefore the kernel's, and a run's Result, event stream
@@ -26,8 +26,9 @@ const DefaultRoundTimeout = 10 * time.Second
 // run of the same seed and scenario. The unscripted faults of real
 // transports — process death, protocol violation, barrier timeout — are
 // reported to the kernel as crashes: the node sleeps the rest of the round
-// and dies at the start of the next, the failure-schedule semantics of
-// FailNodeAt. Fleets are single-use, so call Run once per coordinator.
+// and dies at the start of the next, the semantics of a scheduled
+// radio.Config failure. Fleets are single-use, so call Run once per
+// coordinator.
 type Coordinator struct {
 	*radio.Engine
 
@@ -57,10 +58,17 @@ type nodeLink struct {
 type barrierHost Coordinator
 
 // NewCoordinator connects one peer per node of g (in ascending node order)
-// through the fleet. The fleet's Hellos must introduce exactly the nodes of
-// g. The coordinator takes ownership of the fleet: Close tears it down.
-func NewCoordinator(g *graph.Graph, fleet Fleet) (*Coordinator, error) {
+// through the fleet, for a run under cfg. The fleet's Hellos must introduce
+// exactly the nodes of g. The coordinator takes ownership of the fleet:
+// Close tears it down, and an error return has already closed it.
+func NewCoordinator(g *graph.Graph, fleet Fleet, cfg radio.Config) (*Coordinator, error) {
 	c := &Coordinator{fleet: fleet, timeout: DefaultRoundTimeout}
+	eng, err := radio.NewHostedEngine(g, (*barrierHost)(c), cfg)
+	if err != nil {
+		_ = c.Close()
+		return nil, err
+	}
+	c.Engine = eng
 	nodes := g.Nodes()
 	c.links = make([]*nodeLink, len(nodes))
 	for i, id := range nodes {
@@ -77,7 +85,6 @@ func NewCoordinator(g *graph.Graph, fleet Fleet) (*Coordinator, error) {
 		c.links[i] = l
 		go pump(l)
 	}
-	c.Engine = radio.NewHostedEngine(g, (*barrierHost)(c))
 	return c, nil
 }
 

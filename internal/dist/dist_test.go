@@ -146,54 +146,36 @@ func (sc *scenario) programs() map[graph.NodeID]radio.Program {
 	return progs
 }
 
-func (sc *scenario) runKernel(t *testing.T, progs map[graph.NodeID]radio.Program) (radio.Result, *collect) {
-	t.Helper()
-	eng, err := radio.NewEngine(sc.graph(t), progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c collect
-	eng.SetTraceBatch(c.hook)
+// config is the scenario's engine configuration, tracing into c.
+func (sc *scenario) config(c *collect) radio.Config {
+	cfg := radio.Config{TraceBatch: c.hook, Skew: sc.skew, LossRate: sc.lossRate, LossSeed: sc.lossSeed}
 	for id, r := range sc.nodeFail {
-		eng.FailNodeAt(id, r)
+		cfg.Failures = append(cfg.Failures, radio.NodeFailure{Node: id, Round: r})
 	}
 	for lk, r := range sc.linkFail {
-		eng.FailLinkAt(lk[0], lk[1], r)
+		cfg.LinkFailures = append(cfg.LinkFailures, radio.LinkFailure{A: lk[0], B: lk[1], Round: r})
 	}
-	for id, off := range sc.skew {
-		eng.SetClockSkew(id, off)
-	}
-	if sc.lossRate > 0 {
-		if err := eng.SetLoss(sc.lossRate, sc.lossSeed); err != nil {
-			t.Fatal(err)
-		}
+	return cfg
+}
+
+func (sc *scenario) runKernel(t *testing.T, progs map[graph.NodeID]radio.Program) (radio.Result, *collect) {
+	t.Helper()
+	var c collect
+	eng, err := radio.NewEngine(sc.graph(t), progs, sc.config(&c))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return eng.Run(sc.maxRounds), &c
 }
 
 func (sc *scenario) runDist(t *testing.T, progs map[graph.NodeID]radio.Program) (radio.Result, *collect) {
 	t.Helper()
-	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewLocalFleet(progs))
+	var c collect
+	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewLocalFleet(progs), sc.config(&c))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	var c collect
-	coord.SetTraceBatch(c.hook)
-	for id, r := range sc.nodeFail {
-		coord.FailNodeAt(id, r)
-	}
-	for lk, r := range sc.linkFail {
-		coord.FailLinkAt(lk[0], lk[1], r)
-	}
-	for id, off := range sc.skew {
-		coord.SetClockSkew(id, off)
-	}
-	if sc.lossRate > 0 {
-		if err := coord.SetLoss(sc.lossRate, sc.lossSeed); err != nil {
-			t.Fatal(err)
-		}
-	}
 	res := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err != nil {
 		t.Fatalf("coordinator absorbed a fault on an undisturbed run: %v", err)
@@ -256,7 +238,8 @@ func TestDistMatchesKernelFaultsLossSkew(t *testing.T) {
 func TestBarrierTimeoutMatchesKernelCrash(t *testing.T) {
 	// A node that never answers its round-3 act barrier sleeps through
 	// round 3 and dies at round 4 — byte-equal to a kernel run where the
-	// same node's program sleeps from round 3 and FailNodeAt(node, 4).
+	// same node's program sleeps from round 3 and is scheduled to fail at
+	// round 4.
 	const hangAt, victim = 3, graph.NodeID(2)
 	sc := &scenario{n: 4, mod: 4, quota: 2, maxRounds: 12}
 
@@ -268,14 +251,13 @@ func TestBarrierTimeoutMatchesKernelCrash(t *testing.T) {
 
 	dProgs := sc.programs()
 	dProgs[victim] = &hangProg{inner: dProgs[victim], hangAt: hangAt}
-	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewLocalFleet(dProgs))
+	var c collect
+	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewLocalFleet(dProgs), radio.Config{TraceBatch: c.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 	coord.SetRoundTimeout(200 * time.Millisecond)
-	var c collect
-	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if coord.Err() == nil {
 		t.Fatal("coordinator did not record the barrier timeout")
@@ -288,8 +270,8 @@ func TestBarrierTimeoutMatchesKernelCrash(t *testing.T) {
 	}
 }
 
-// TestDistMatchesKernelAbsentNodeFail pins FailNodeAt on a node the graph
-// does not have: the kernel traces the death and touches no node, and the
+// TestDistMatchesKernelAbsentNodeFail pins a scheduled failure of a node the
+// graph does not have: the kernel traces the death and touches no node, and the
 // distributed run must do the same rather than mistake it for node 0.
 func TestDistMatchesKernelAbsentNodeFail(t *testing.T) {
 	assertEqualRuns(t, &scenario{n: 4, mod: 4, quota: 2, maxRounds: 20, nodeFail: map[graph.NodeID]int{99: 3}})
@@ -302,7 +284,7 @@ func TestCrashErrNamesTheFault(t *testing.T) {
 	sc := &scenario{n: 4, mod: 4, quota: 2, maxRounds: 8}
 	progs := sc.programs()
 	progs[1] = &hangProg{inner: progs[1], hangAt: 2}
-	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewLocalFleet(progs))
+	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewLocalFleet(progs), radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,23 +310,22 @@ func TestNemesisPartitionHeals(t *testing.T) {
 				1: mid,
 				2: far,
 			}
+			var c collect
+			cfg := radio.Config{TraceBatch: c.hook, Partitions: []rounds.Partition{{From: 2, To: 3, Side: []graph.NodeID{0}}}}
 			var eng *radio.Engine
 			var coord *dist.Coordinator
 			var err error
 			if rt == "dist" {
-				if coord, err = dist.NewCoordinator(g, dist.NewLocalFleet(progs)); err == nil {
+				if coord, err = dist.NewCoordinator(g, dist.NewLocalFleet(progs), cfg); err == nil {
 					defer coord.Close()
 					eng = coord.Engine
 				}
 			} else {
-				eng, err = radio.NewEngine(g, progs)
+				eng, err = radio.NewEngine(g, progs, cfg)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			var c collect
-			eng.SetTraceBatch(c.hook)
-			eng.SetPartitions([]rounds.Partition{{From: 2, To: 3, Side: []graph.NodeID{0}}})
 			res := eng.Run(6)
 			if coord != nil {
 				if err := coord.Err(); err != nil {
@@ -395,13 +376,12 @@ func TestTCPFleetMatchesKernel(t *testing.T) {
 			}
 		}()
 	}
-	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewTCPFleet(ln))
+	var c collect
+	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewTCPFleet(ln), radio.Config{TraceBatch: c.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	var c collect
-	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err != nil {
 		t.Fatal(err)
@@ -470,14 +450,13 @@ func TestProtocolViolationMatchesKernelCrash(t *testing.T) {
 		}
 		go func() { _ = dist.DialNode(addr, id, prog) }()
 	}
-	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewTCPFleet(ln))
+	var c collect
+	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewTCPFleet(ln), radio.Config{TraceBatch: c.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 	coord.SetRoundTimeout(0)
-	var c collect
-	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err == nil || !strings.Contains(err.Error(), "awaiting action") {
 		t.Fatalf("Err = %v, want the act-barrier protocol violation", err)
@@ -570,7 +549,8 @@ func TestProcFleetMatchesKernel(t *testing.T) {
 	sc := &scenario{n: 3, mod: 3, quota: 2, maxRounds: 15}
 	kRes, kTrace := sc.runKernel(t, sc.programs())
 
-	coord, err := dist.NewCoordinator(sc.graph(t), procFleet(sc, nil))
+	var c collect
+	coord, err := dist.NewCoordinator(sc.graph(t), procFleet(sc, nil), radio.Config{TraceBatch: c.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,8 +566,6 @@ func TestProcFleetMatchesKernel(t *testing.T) {
 		progs[graph.NodeID(i)] = lp
 	}
 	coord.MirrorDeliveries(progs)
-	var c collect
-	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err != nil {
 		t.Fatal(err)
@@ -624,14 +602,13 @@ func TestProcFleetNodeDeathMidRound(t *testing.T) {
 	kSc.nodeFail = map[graph.NodeID]int{victim: dieAt + 1}
 	kRes, kTrace := kSc.runKernel(t, kProgs)
 
-	coord, err := dist.NewCoordinator(sc.graph(t), procFleet(sc, map[graph.NodeID]int{victim: dieAt}))
+	var c collect
+	coord, err := dist.NewCoordinator(sc.graph(t), procFleet(sc, map[graph.NodeID]int{victim: dieAt}), radio.Config{TraceBatch: c.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 	coord.SetRoundTimeout(5 * time.Second)
-	var c collect
-	coord.SetTraceBatch(c.hook)
 	dRes := coord.Run(sc.maxRounds)
 	if coord.Err() == nil {
 		t.Fatal("coordinator did not record the process death")

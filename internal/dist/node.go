@@ -13,7 +13,7 @@
 // scenario, a distributed run's trace, recording and Result are therefore
 // byte-identical to the kernel's. What only a distributed runtime can make
 // honest — a node process that dies, or stops answering its barrier — is
-// absorbed as a crash with FailNodeAt's semantics.
+// absorbed as a crash with a scheduled failure's semantics.
 package dist
 
 import (

@@ -28,7 +28,7 @@ func Discovery(p Params) (*stats.Table, error) {
 			if !g.HasNode(joiner) || g.Degree(joiner) == 0 {
 				continue
 			}
-			res, err := discovery.Run(g, joiner, discovery.Options{Seed: seed*101 + int64(joiner)})
+			res, err := discovery.Run(g, joiner, seed*101+int64(joiner), p.engine())
 			if err != nil {
 				return err
 			}
@@ -83,7 +83,7 @@ func BootstrapExp(p Params) (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := joinproto.Bootstrap(d, core.Config{}, seed*5)
+		res, err := joinproto.Bootstrap(d, core.Config{}, seed*5, p.engine())
 		if err != nil {
 			return err
 		}
@@ -119,7 +119,7 @@ func JoinProtocol(p Params) (*stats.Table, error) {
 		}
 		anchor := graph.NodeID(n / 2)
 		nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
-		res, err := joinproto.Join(net, graph.NodeID(n+1000), nbrs, seed*3)
+		res, err := joinproto.Join(net, graph.NodeID(n+1000), nbrs, seed*3, p.engine())
 		if err != nil {
 			return err
 		}

@@ -22,7 +22,6 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/flight"
-	"dynsens/internal/gather"
 	"dynsens/internal/graph"
 	"dynsens/internal/netio"
 	"dynsens/internal/obs"
@@ -73,7 +72,7 @@ type Params struct {
 	// Workers > 1.
 	Flight func(id string, side, n int, seed int64) (*flight.Writer, error)
 	// Perf, when non-nil, collects kernel performance introspection
-	// across every point's engine runs (radio.Engine.SetPerf). One shared
+	// across every point's engine runs (radio.Config.Perf). One shared
 	// collector is safe under Workers > 1 — runs fold in atomically — and
 	// never changes results.
 	Perf *radio.Perf
@@ -86,19 +85,13 @@ func (p Params) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// opts returns the broadcast options every point's engine run starts
-// from: the sweep's Perf collector, and one engine worker, since the sweep
-// already saturates cores across points and the paper's point sizes sit
-// below the engine's parallel threshold anyway. Any worker count yields
-// identical results.
-func (p Params) opts() broadcast.Options {
-	return broadcast.Options{Workers: 1, Perf: p.Perf}
-}
-
-// gatherOpts is opts for the convergecast engine.
-func (p Params) gatherOpts() gather.Options {
-	o := p.opts()
-	return gather.Options{Workers: o.Workers, Perf: o.Perf}
+// engine returns the configuration every point's engine runs start from,
+// whatever the protocol: the sweep's Perf collector, and one engine
+// worker, since the sweep already saturates cores across points and the
+// paper's point sizes sit below the engine's parallel threshold anyway.
+// Any worker count yields identical results.
+func (p Params) engine() radio.Config {
+	return radio.Config{Workers: 1, Perf: p.Perf}
 }
 
 // Default returns the paper's published configuration: the 10x10 region
@@ -227,7 +220,7 @@ func runBoth(p Params, id string, side, n int, seed int64) (net *core.Network, i
 	if net, _, err = core.Deploy(side, n, seed, core.Config{}); err != nil {
 		return
 	}
-	opts := p.opts()
+	opts := broadcast.Options{Config: p.engine()}
 	icffOpts := opts
 	var fw *flight.Writer
 	if p.Flight != nil {

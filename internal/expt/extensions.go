@@ -26,7 +26,7 @@ func MultiChannel(p Params, channels []int) (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		opts := p.opts()
+		opts := broadcast.Options{Config: p.engine()}
 		opts.Channels = k
 		m, err := net.Broadcast(net.Root(), opts)
 		if err != nil {
@@ -86,11 +86,11 @@ func Multicast(p Params, fracs []float64) (*stats.Table, error) {
 			joined = 1
 		}
 		_, f := net.Groups().RelaySet(net.Slots(), 1)
-		mc, err := net.Multicast(1, net.Root(), p.opts())
+		mc, err := net.Multicast(1, net.Root(), broadcast.Options{Config: p.engine()})
 		if err != nil {
 			return err
 		}
-		bc, err := net.Broadcast(net.Root(), p.opts())
+		bc, err := net.Broadcast(net.Root(), broadcast.Options{Config: p.engine()})
 		if err != nil {
 			return err
 		}
@@ -134,7 +134,7 @@ func Robustness(p Params, fracs []float64) (*stats.Table, error) {
 			return err
 		}
 		dfoPlanLen := 2 * (net.CNet().Backbone().Size() - 1)
-		opts := p.opts()
+		opts := broadcast.Options{Config: p.engine()}
 		for _, f := range workload.FailureTrace(net.Graph(), net.Root(), frac, max(dfoPlanLen, 1), seed*17) {
 			opts.Failures = append(opts.Failures, broadcast.NodeFailure{Node: f.Node, Round: f.Round})
 		}
@@ -258,11 +258,11 @@ func AblationAlg1VsAlg2(p Params) (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		a2, err := net.Broadcast(net.Root(), p.opts())
+		a2, err := net.Broadcast(net.Root(), broadcast.Options{Config: p.engine()})
 		if err != nil {
 			return err
 		}
-		a1, err := net.BroadcastCFF(net.Root(), p.opts())
+		a1, err := net.BroadcastCFF(net.Root(), broadcast.Options{Config: p.engine()})
 		if err != nil {
 			return err
 		}
@@ -309,7 +309,7 @@ func AblationSlotCondition(p Params) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			m, err := net.Broadcast(net.Root(), p.opts())
+			m, err := net.Broadcast(net.Root(), broadcast.Options{Config: p.engine()})
 			if err != nil {
 				return err
 			}

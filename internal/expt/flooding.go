@@ -29,11 +29,11 @@ func Flooding(p Params, forwards []float64) (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		cff, err := net.Broadcast(net.Root(), p.opts())
+		cff, err := net.Broadcast(net.Root(), broadcast.Options{Config: p.engine()})
 		if err != nil {
 			return err
 		}
-		rr, err := broadcast.RunRoundRobin(net.Graph(), net.Root(), 0, p.opts())
+		rr, err := broadcast.RunRoundRobin(net.Graph(), net.Root(), 0, broadcast.Options{Config: p.engine()})
 		if err != nil {
 			return err
 		}
@@ -45,7 +45,7 @@ func Flooding(p Params, forwards []float64) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			m, err := plan.Run(net.Graph(), p.opts())
+			m, err := plan.Run(net.Graph(), broadcast.Options{Config: p.engine()})
 			if err != nil {
 				return err
 			}

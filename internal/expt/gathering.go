@@ -19,7 +19,7 @@ func Gathering(p Params) (*stats.Table, error) {
 		for _, id := range net.CNet().Tree().Nodes() {
 			values[id] = int64(id) + 1
 		}
-		m, err := net.Gather(values, p.gatherOpts())
+		m, err := net.Gather(values, p.engine())
 		if err != nil {
 			return err
 		}

@@ -71,7 +71,7 @@ func Failover(p Params) (*stats.Table, error) {
 			return err
 		}
 		source := graph.NodeID(n - 1)
-		opts := p.opts()
+		opts := broadcast.Options{Config: p.engine()}
 		opts.Failures = []broadcast.NodeFailure{{Node: 0, Round: 1}}
 
 		// Single cluster-net: no fallback.

@@ -22,7 +22,7 @@ func Loss(p Params, rates []float64) (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		opts := p.opts()
+		opts := broadcast.Options{Config: p.engine()}
 		opts.LossRate, opts.LossSeed = rate, seed*3
 		for _, rep := range []int{1, 3, 6} {
 			m, err := broadcast.RunReliable(net.Slots(), net.Root(), rep, opts)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
@@ -62,7 +63,7 @@ func Mobility(p Params, wanders []float64) (*stats.Table, error) {
 		st := net.Stats()
 		s.add("struct", float64(st.StructuralRounds-preStruct)/float64(moves))
 		s.add("slot", float64(st.SlotRounds-preSlot)/float64(moves))
-		m, err := net.Broadcast(net.Root(), p.opts())
+		m, err := net.Broadcast(net.Root(), broadcast.Options{Config: p.engine()})
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"dynsens/internal/broadcast"
 	"dynsens/internal/cnet"
 	"dynsens/internal/core"
 	"dynsens/internal/graph"
@@ -43,7 +44,7 @@ func PolicyAblation(p Params) (*stats.Table, error) {
 			if err := net.Verify(); err != nil {
 				return fmt.Errorf("policy %s: %w", name, err)
 			}
-			m, err := net.Broadcast(net.Root(), p.opts())
+			m, err := net.Broadcast(net.Root(), broadcast.Options{Config: p.engine()})
 			if err != nil {
 				return err
 			}

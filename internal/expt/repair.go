@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"sort"
 
+	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/gather"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/stats"
 )
 
@@ -44,9 +46,9 @@ func Repair(p Params, fracs []float64) (*stats.Table, error) {
 			dead = append(dead, id)
 		}
 		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-		opts := p.gatherOpts()
+		cfg := p.engine()
 		for _, id := range dead {
-			opts.Failures = append(opts.Failures, gather.Failure{Node: id, Round: 1})
+			cfg.Failures = append(cfg.Failures, radio.NodeFailure{Node: id, Round: 1})
 		}
 
 		// Detection epoch.
@@ -54,7 +56,7 @@ func Repair(p Params, fracs []float64) (*stats.Table, error) {
 		if err := sched.Verify(); err != nil {
 			return err
 		}
-		rep, err := gather.Heartbeat(net.CNet(), sched, opts)
+		rep, err := gather.Heartbeat(net.CNet(), sched, cfg)
 		if err != nil {
 			return err
 		}
@@ -78,7 +80,7 @@ func Repair(p Params, fracs []float64) (*stats.Table, error) {
 		if err := net.Verify(); err != nil {
 			return fmt.Errorf("expt: invariants after repair: %w", err)
 		}
-		m, err := net.Broadcast(net.Root(), p.opts())
+		m, err := net.Broadcast(net.Root(), broadcast.Options{Config: p.engine()})
 		if err != nil {
 			return err
 		}

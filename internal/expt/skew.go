@@ -27,7 +27,7 @@ func Skew(p Params, sigmas []int) (*stats.Table, error) {
 			return err
 		}
 		rng := rand.New(rand.NewSource(seed * 23))
-		opts := p.opts()
+		opts := broadcast.Options{Config: p.engine()}
 		opts.Skew = make(map[graph.NodeID]int)
 		for _, id := range net.CNet().Tree().Nodes() {
 			if sigma > 0 {

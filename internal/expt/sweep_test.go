@@ -51,7 +51,7 @@ func TestRunAllGolden(t *testing.T) {
 // TestEveryExperimentSweeps runs the whole catalogue at Quick() with a
 // metrics registry, a perf collector and a flight factory: every
 // experiment counts one point per (row, seed), every experiment that runs
-// a broadcast or gather engine folds its runs into the collector, and the
+// a radio engine folds its runs into the collector, and the
 // ICFF run of each Fig. 8, Fig. 9, lifetime and areas point is recorded
 // under its own (id, side, n, seed).
 func TestEveryExperimentSweeps(t *testing.T) {
@@ -68,7 +68,7 @@ func TestEveryExperimentSweeps(t *testing.T) {
 		"robust": true, "repair": true, "loss": true, "mobility": true,
 		"areas": true, "lifetime": true, "failover": true, "skew": true,
 		"gather": true, "flooding": true, "ablation": true, "policy": true,
-		"slotcond": true,
+		"slotcond": true, "discovery": true, "bootstrap": true, "joinproto": true,
 	}
 	var mu sync.Mutex
 	recorded := map[string]int{}

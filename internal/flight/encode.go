@@ -274,13 +274,13 @@ func (w *Writer) WriteEvent(ev radio.Event) {
 	w.events = append(w.events, rec)
 }
 
-// BatchHook returns the callback for radio.Engine.SetTraceBatch or
-// broadcast.Options.TraceBatch: one call per shard buffer per phase per
+// BatchHook returns the callback for radio.Config.TraceBatch (which
+// broadcast.Options embeds): one call per shard buffer per phase per
 // round. Events are encoded immediately (the engine reuses the batch
 // slice). The Writer is not goroutine-safe, but it does not need to be for
 // engine hooks: the radio kernel emits all events from one goroutine (its
 // serial stitch steps) at any worker count, and the recorded byte stream
-// is identical at any radio.Engine.SetWorkers value.
+// is identical at any radio.Config.Workers value.
 func (w *Writer) BatchHook() func([]radio.Event) {
 	return func(evs []radio.Event) {
 		for i := range evs {

@@ -180,9 +180,12 @@ func TestVerifierPassesLossyRun(t *testing.T) {
 	nodes := net.CNet().Tree().Nodes()
 	victim := nodes[len(nodes)-1]
 	raw, m := record(t, net, 2, 40, 8, broadcast.Options{
+		Config: radio.Config{
+			Failures: []broadcast.NodeFailure{{Node: victim, Round: 2}},
+			LossRate: 0.2,
+			LossSeed: 11,
+		},
 		Channels: 1,
-		Failures: []broadcast.NodeFailure{{Node: victim, Round: 2}},
-		LossRate: 0.2, LossSeed: 11,
 	}, 0)
 	if m.Received == m.Audience {
 		t.Log("lossy run still delivered everywhere; verifier checks remain meaningful")

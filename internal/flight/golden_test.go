@@ -10,6 +10,7 @@ import (
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/flight"
+	"dynsens/internal/radio"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -46,9 +47,12 @@ func TestChromeTraceGolden(t *testing.T) {
 	nodes := net.CNet().Tree().Nodes()
 	victim := nodes[len(nodes)-1]
 	raw, _ := record(t, net, 5, 24, 8, broadcast.Options{
+		Config: radio.Config{
+			Failures: []broadcast.NodeFailure{{Node: victim, Round: 2}},
+			LossRate: 0.15,
+			LossSeed: 7,
+		},
 		Channels: 1,
-		Failures: []broadcast.NodeFailure{{Node: victim, Round: 2}},
-		LossRate: 0.15, LossSeed: 7,
 	}, 0)
 	rec, err := flight.DecodeBytes(raw)
 	if err != nil {

@@ -222,27 +222,6 @@ func (p *gatherNode) Done() bool {
 	return p.listenHi == 0 || p.cur >= p.listenHi
 }
 
-// Options tune a gathering run.
-type Options struct {
-	// Failures are node deaths to inject.
-	Failures []Failure
-	// Workers sets the radio engine's shard-worker count (see
-	// radio.Engine.SetWorkers); 0 keeps the engine default.
-	Workers int
-	// Trace receives engine events in per-shard batches
-	// (radio.Engine.SetTraceBatch); copy events to retain them.
-	Trace func([]radio.Event)
-	// Perf, when non-nil, collects kernel performance introspection for
-	// the run (radio.Engine.SetPerf); strictly read-only.
-	Perf *radio.Perf
-}
-
-// Failure kills a node at a round.
-type Failure struct {
-	Node  graph.NodeID
-	Round int
-}
-
 // buildPrograms constructs the per-node convergecast programs and returns
 // them with the schedule length and the expected total.
 func buildPrograms(net *cnet.CNet, sched *Schedule, values map[graph.NodeID]int64) (map[graph.NodeID]radio.Program, int, int64) {
@@ -280,21 +259,15 @@ func buildPrograms(net *cnet.CNet, sched *Schedule, values map[graph.NodeID]int6
 	return progs, h * w, expected
 }
 
-// Run executes one convergecast: every node contributes values[id]
-// (missing entries contribute 0) and the sink aggregates the sum. The
-// returned metrics are measured on the radio engine.
-func Run(net *cnet.CNet, sched *Schedule, values map[graph.NodeID]int64, opts Options) (Metrics, error) {
+// Run executes one convergecast under cfg: every node contributes
+// values[id] (missing entries contribute 0) and the sink aggregates the
+// sum. The returned metrics are measured on the radio engine.
+func Run(net *cnet.CNet, sched *Schedule, values map[graph.NodeID]int64, cfg radio.Config) (Metrics, error) {
 	tr := net.Tree()
 	progs, schedLen, expected := buildPrograms(net, sched, values)
-	eng, err := radio.NewEngine(net.Graph(), progs)
+	eng, err := radio.NewEngine(net.Graph(), progs, cfg)
 	if err != nil {
 		return Metrics{}, err
-	}
-	eng.SetWorkers(opts.Workers)
-	eng.SetPerf(opts.Perf)
-	eng.SetTraceBatch(opts.Trace)
-	for _, f := range opts.Failures {
-		eng.FailNodeAt(f.Node, f.Round)
 	}
 	res := eng.Run(schedLen)
 

@@ -7,6 +7,7 @@ import (
 
 	"dynsens/internal/cnet"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func TestGatherExactSum(t *testing.T) {
 		values[id] = v
 		want += v
 	}
-	m, err := Run(net, s, values, Options{})
+	m, err := Run(net, s, values, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestGatherCountsNodes(t *testing.T) {
 	net := buildNet(t, 3, 60)
 	s := NewSchedule(net)
 	// All values zero: the count channel still reports every node.
-	m, err := Run(net, s, nil, Options{})
+	m, err := Run(net, s, nil, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestGatherCountsNodes(t *testing.T) {
 func TestGatherSingleNode(t *testing.T) {
 	net := cnet.New(0, nil)
 	s := NewSchedule(net)
-	m, err := Run(net, s, map[graph.NodeID]int64{0: 42}, Options{})
+	m, err := Run(net, s, map[graph.NodeID]int64{0: 42}, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestGatherLosesFailedSubtree(t *testing.T) {
 	for _, id := range net.Tree().Nodes() {
 		values[id] = 1
 	}
-	m, err := Run(net, s, values, Options{Failures: []Failure{{Node: victim, Round: 1}}})
+	m, err := Run(net, s, values, radio.Config{Failures: []radio.NodeFailure{{Node: victim, Round: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestGatherProperty(t *testing.T) {
 			values[id] = int64(i)
 			want += int64(i)
 		}
-		m, err := Run(net, s, values, Options{})
+		m, err := Run(net, s, values, radio.Config{})
 		if err != nil {
 			return false
 		}

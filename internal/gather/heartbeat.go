@@ -32,26 +32,20 @@ func (r HeartbeatReport) Suspects() []graph.NodeID {
 
 // Heartbeat runs one convergecast epoch purely as liveness probing: every
 // node transmits once at its g-slot and every parent records which
-// children it heard. Crashed nodes (opts.Failures) stay silent, so their
+// children it heard. Crashed nodes (cfg.Failures) stay silent, so their
 // parents report them. This is the failure-detection half of crash repair;
 // pair it with core.Network.RepairCrash.
-func Heartbeat(net *cnet.CNet, sched *Schedule, opts Options) (HeartbeatReport, error) {
+func Heartbeat(net *cnet.CNet, sched *Schedule, cfg radio.Config) (HeartbeatReport, error) {
 	progs, schedLen, _ := buildPrograms(net, sched, nil)
-	eng, err := radio.NewEngine(net.Graph(), progs)
+	eng, err := radio.NewEngine(net.Graph(), progs, cfg)
 	if err != nil {
 		return HeartbeatReport{}, err
-	}
-	eng.SetWorkers(opts.Workers)
-	eng.SetPerf(opts.Perf)
-	eng.SetTraceBatch(opts.Trace)
-	for _, f := range opts.Failures {
-		eng.FailNodeAt(f.Node, f.Round)
 	}
 	res := eng.Run(schedLen)
 
 	report := HeartbeatReport{Missing: make(map[graph.NodeID][]graph.NodeID), Rounds: res.Rounds}
-	dead := make(map[graph.NodeID]bool, len(opts.Failures))
-	for _, f := range opts.Failures {
+	dead := make(map[graph.NodeID]bool, len(cfg.Failures))
+	for _, f := range cfg.Failures {
 		dead[f.Node] = true
 	}
 	for _, id := range net.Tree().Nodes() {

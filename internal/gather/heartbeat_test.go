@@ -10,7 +10,7 @@ import (
 func TestHeartbeatAllAlive(t *testing.T) {
 	net := buildNet(t, 11, 60)
 	s := NewSchedule(net)
-	rep, err := Heartbeat(net, s, Options{})
+	rep, err := Heartbeat(net, s, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestHeartbeatDetectsDeadChild(t *testing.T) {
 		t.Skip("root has no children")
 	}
 	victim := children[0]
-	rep, err := Heartbeat(net, s, Options{Failures: []Failure{{Node: victim, Round: 1}}})
+	rep, err := Heartbeat(net, s, radio.Config{Failures: []radio.NodeFailure{{Node: victim, Round: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestHeartbeatDeadParentDoesNotReport(t *testing.T) {
 	if !found {
 		t.Skip("no internal node")
 	}
-	rep, err := Heartbeat(net, s, Options{Failures: []Failure{{Node: victim, Round: 1}}})
+	rep, err := Heartbeat(net, s, radio.Config{Failures: []radio.NodeFailure{{Node: victim, Round: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestHeartbeatDeadParentDoesNotReport(t *testing.T) {
 func TestHeartbeatReportsPerf(t *testing.T) {
 	net := buildNet(t, 3, 60)
 	perf := radio.NewPerf()
-	rep, err := Heartbeat(net, NewSchedule(net), Options{Perf: perf})
+	rep, err := Heartbeat(net, NewSchedule(net), radio.Config{Perf: perf})
 	if err != nil {
 		t.Fatal(err)
 	}

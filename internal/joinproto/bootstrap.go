@@ -6,6 +6,7 @@ import (
 	"dynsens/internal/core"
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 )
 
 // BootstrapResult reports a full protocol-level self-construction.
@@ -26,8 +27,9 @@ type BootstrapResult struct {
 // message-level node-move-in protocol: node 0 becomes the sink, and nodes
 // 1..n-1 join one at a time, each first discovering its neighbors over the
 // air. This is Section 5's "add nodes of G one by one into CNet(G) by
-// using node-move-in", executed end to end on the radio engine.
-func Bootstrap(d *geom.Deployment, cfg core.Config, seed int64) (*BootstrapResult, error) {
+// using node-move-in", executed end to end on the radio engine. Every
+// join's phases run under radioCfg, each counting rounds from 1 (see Join).
+func Bootstrap(d *geom.Deployment, cfg core.Config, seed int64, radioCfg radio.Config) (*BootstrapResult, error) {
 	if d.NumNodes() == 0 {
 		return nil, fmt.Errorf("joinproto: empty deployment")
 	}
@@ -46,7 +48,7 @@ func Bootstrap(d *geom.Deployment, cfg core.Config, seed int64) (*BootstrapResul
 		if len(nbrs) == 0 {
 			return nil, fmt.Errorf("joinproto: node %d hears nobody at join time (deployment not incremental-connected?)", id)
 		}
-		jr, err := Join(net, id, nbrs, seed+int64(i)*131)
+		jr, err := Join(net, id, nbrs, seed+int64(i)*131, radioCfg)
 		if err != nil {
 			return nil, fmt.Errorf("joinproto: bootstrapping node %d: %w", id, err)
 		}

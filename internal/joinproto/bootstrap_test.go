@@ -6,6 +6,7 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/geom"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -14,7 +15,7 @@ func TestBootstrapSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Bootstrap(d, core.Config{}, 5)
+	res, err := Bootstrap(d, core.Config{}, 5, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestBootstrapMatchesStructuralShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Bootstrap(d, core.Config{}, 7)
+	res, err := Bootstrap(d, core.Config{}, 7, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestBootstrapMatchesStructuralShape(t *testing.T) {
 }
 
 func TestBootstrapErrors(t *testing.T) {
-	if _, err := Bootstrap(&geom.Deployment{}, core.Config{}, 1); err == nil {
+	if _, err := Bootstrap(&geom.Deployment{}, core.Config{}, 1, radio.Config{}); err == nil {
 		t.Fatal("empty deployment accepted")
 	}
 	// A deployment whose second node is out of range must fail.
@@ -70,7 +71,7 @@ func TestBootstrapErrors(t *testing.T) {
 		Range:  50,
 		Pos:    []geom.Point{{X: 0, Y: 0}, {X: 900, Y: 900}},
 	}
-	if _, err := Bootstrap(d, core.Config{}, 1); err == nil {
+	if _, err := Bootstrap(d, core.Config{}, 1, radio.Config{}); err == nil {
 		t.Fatal("disconnected deployment accepted")
 	}
 }

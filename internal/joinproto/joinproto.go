@@ -76,9 +76,12 @@ type neighborInfo struct {
 }
 
 // Join runs the full protocol for a new node id whose radio can physically
-// reach trueNeighbors, then applies the structural join. The network is
-// mutated on success.
-func Join(net *core.Network, id graph.NodeID, trueNeighbors []graph.NodeID, seed int64) (Result, error) {
+// reach trueNeighbors, then applies the structural join. seed drives the
+// discovery coins. Each over-the-air phase (discovery, query, attach) is
+// its own engine run under cfg, with rounds counted from 1 in each phase:
+// a failure scheduled for round r strikes in round r of every phase, and
+// cfg's sinks see every phase's events. The network is mutated on success.
+func Join(net *core.Network, id graph.NodeID, trueNeighbors []graph.NodeID, seed int64, cfg radio.Config) (Result, error) {
 	if net.Contains(id) {
 		return Result{}, fmt.Errorf("joinproto: node %d already present", id)
 	}
@@ -103,7 +106,7 @@ func Join(net *core.Network, id graph.NodeID, trueNeighbors []graph.NodeID, seed
 	var res Result
 
 	// Phase 1: discovery.
-	disc, err := discovery.Run(g, id, discovery.Options{Seed: seed})
+	disc, err := discovery.Run(g, id, seed, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -115,7 +118,7 @@ func Join(net *core.Network, id graph.NodeID, trueNeighbors []graph.NodeID, seed
 	res.DiscoveryRounds = disc.Rounds
 
 	// Phase 2: poll each discovered neighbor for status and depth.
-	info, rounds, err := queryPhase(net, g, id, disc.Discovered)
+	info, rounds, err := queryPhase(net, g, id, disc.Discovered, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -124,7 +127,7 @@ func Join(net *core.Network, id graph.NodeID, trueNeighbors []graph.NodeID, seed
 	// Phase 3: Definition 1 over the gathered knowledge; attach exchange.
 	parent := chooseParent(info)
 	res.Parent = parent
-	attachRounds, err := attachPhase(net, g, id, parent, info[parent].status == cnet.Member)
+	attachRounds, err := attachPhase(net, g, id, parent, info[parent].status == cnet.Member, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -173,7 +176,7 @@ func chooseParent(info map[graph.NodeID]neighborInfo) graph.NodeID {
 }
 
 // queryPhase runs 2 rounds per neighbor: QUERY(Dst=u) then u's INFO reply.
-func queryPhase(net *core.Network, g *graph.Graph, id graph.NodeID, nbrs []graph.NodeID) (map[graph.NodeID]neighborInfo, int, error) {
+func queryPhase(net *core.Network, g *graph.Graph, id graph.NodeID, nbrs []graph.NodeID, cfg radio.Config) (map[graph.NodeID]neighborInfo, int, error) {
 	progs := make(map[graph.NodeID]radio.Program, g.NumNodes())
 	j := &queryJoiner{id: id, targets: nbrs, info: make(map[graph.NodeID]neighborInfo)}
 	progs[id] = j
@@ -189,7 +192,7 @@ func queryPhase(net *core.Network, g *graph.Graph, id graph.NodeID, nbrs []graph
 			progs[nid] = idle{}
 		}
 	}
-	eng, err := radio.NewEngine(g, progs)
+	eng, err := radio.NewEngine(g, progs, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -273,7 +276,7 @@ func (q *queryResponder) Deliver(_ int, msg radio.Message) {
 func (q *queryResponder) Done() bool { return q.cur >= q.horizon }
 
 // attachPhase runs the ATTACH / ACK (/ PROMOTE) exchange.
-func attachPhase(net *core.Network, g *graph.Graph, id, parent graph.NodeID, promotes bool) (int, error) {
+func attachPhase(net *core.Network, g *graph.Graph, id, parent graph.NodeID, promotes bool, cfg radio.Config) (int, error) {
 	rounds := 2
 	if promotes {
 		rounds = 3
@@ -301,7 +304,7 @@ func attachPhase(net *core.Network, g *graph.Graph, id, parent graph.NodeID, pro
 		}
 		progs[nid] = idle{}
 	}
-	eng, err := radio.NewEngine(g, progs)
+	eng, err := radio.NewEngine(g, progs, cfg)
 	if err != nil {
 		return 0, err
 	}

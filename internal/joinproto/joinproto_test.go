@@ -7,6 +7,7 @@ import (
 	"dynsens/internal/cnet"
 	"dynsens/internal/core"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func buildNetwork(t testing.TB, seed int64, n int) *core.Network {
 func TestJoinAgainstHead(t *testing.T) {
 	net := buildNetwork(t, 1, 40)
 	heads := net.CNet().Heads()
-	res, err := Join(net, 9999, []graph.NodeID{heads[0]}, 7)
+	res, err := Join(net, 9999, []graph.NodeID{heads[0]}, 7, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestJoinPromotesMember(t *testing.T) {
 	}
 	// Find a member whose neighborhood we will restrict to just itself.
 	m := members[0]
-	res, err := Join(net, 8888, []graph.NodeID{m}, 5)
+	res, err := Join(net, 8888, []graph.NodeID{m}, 5, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestJoinMultiNeighbor(t *testing.T) {
 	anchor := net.CNet().Tree().Nodes()[40]
 	nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
 	pre := net.Size()
-	res, err := Join(net, 7777, nbrs, 11)
+	res, err := Join(net, 7777, nbrs, 11, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +104,13 @@ func TestJoinMultiNeighbor(t *testing.T) {
 
 func TestJoinErrors(t *testing.T) {
 	net := buildNetwork(t, 4, 20)
-	if _, err := Join(net, 0, []graph.NodeID{1}, 1); err == nil {
+	if _, err := Join(net, 0, []graph.NodeID{1}, 1, radio.Config{}); err == nil {
 		t.Fatal("existing node accepted")
 	}
-	if _, err := Join(net, 555, nil, 1); err == nil {
+	if _, err := Join(net, 555, nil, 1, radio.Config{}); err == nil {
 		t.Fatal("no neighbors accepted")
 	}
-	if _, err := Join(net, 555, []graph.NodeID{4242}, 1); err == nil {
+	if _, err := Join(net, 555, []graph.NodeID{4242}, 1, radio.Config{}); err == nil {
 		t.Fatal("unknown neighbor accepted")
 	}
 }
@@ -122,7 +123,7 @@ func TestJoinRoundsScaleWithDegree(t *testing.T) {
 		if len(nbrs) < nNbrs {
 			t.Skipf("root degree too small (%d)", len(nbrs))
 		}
-		res, err := Join(net, 6666, nbrs[:nNbrs], 3)
+		res, err := Join(net, 6666, nbrs[:nNbrs], 3, radio.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestJoinProperty(t *testing.T) {
 		}
 		anchor := graph.NodeID(int(anchorRaw) % n)
 		nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
-		res, err := Join(net, graph.NodeID(n+100), nbrs, seed)
+		res, err := Join(net, graph.NodeID(n+100), nbrs, seed, radio.Config{})
 		if err != nil {
 			return false
 		}

@@ -49,9 +49,12 @@ func (r LeaveResult) String() string {
 // Leave runs node-move-out as messages: the departure announcement races
 // up the tree, the Euler tour walks the departing subtree telling the
 // neighbors of each visited node to drop it and recalculate, and then the
-// structural layer re-inserts the orphans and repairs knowledge (II). The
-// network is mutated on success; the residual graph must stay connected.
-func Leave(net *core.Network, lev graph.NodeID) (LeaveResult, error) {
+// structural layer re-inserts the orphans and repairs knowledge (II). Both
+// over-the-air steps are engine runs under cfg, with rounds counted from 1
+// in each: a failure scheduled for round r strikes in round r of the
+// announcement and of the tour, and cfg's sinks see both. The network is
+// mutated on success; the residual graph must stay connected.
+func Leave(net *core.Network, lev graph.NodeID, cfg radio.Config) (LeaveResult, error) {
 	if !net.Contains(lev) {
 		return LeaveResult{}, fmt.Errorf("joinproto: node %d not present", lev)
 	}
@@ -61,7 +64,7 @@ func Leave(net *core.Network, lev graph.NodeID) (LeaveResult, error) {
 	// Step 0(i): announce along the path to the root, one hop per round.
 	path := tr.PathToRoot(lev)
 	if len(path) > 1 {
-		rounds, err := relayPath(net.Graph(), path)
+		rounds, err := relayPath(net.Graph(), path, cfg)
 		if err != nil {
 			return LeaveResult{}, err
 		}
@@ -72,7 +75,7 @@ func Leave(net *core.Network, lev graph.NodeID) (LeaveResult, error) {
 	// neighbor of the tour's current node hears it (single transmitter
 	// per round). For a leaf T this is a single announcement.
 	tour := subtreeTour(tr, lev)
-	rounds, err := runTour(net.Graph(), tour)
+	rounds, err := runTour(net.Graph(), tour, cfg)
 	if err != nil {
 		return LeaveResult{}, err
 	}
@@ -110,7 +113,7 @@ func subtreeTour(tr interface {
 
 // relayPath sends a message hop by hop along path (one transmitter per
 // round) and returns the measured rounds.
-func relayPath(g *graph.Graph, path []graph.NodeID) (int, error) {
+func relayPath(g *graph.Graph, path []graph.NodeID, cfg radio.Config) (int, error) {
 	progs := make(map[graph.NodeID]radio.Program, g.NumNodes())
 	horizon := len(path) - 1
 	for _, id := range g.Nodes() {
@@ -124,7 +127,7 @@ func relayPath(g *graph.Graph, path []graph.NodeID) (int, error) {
 		}
 		progs[id] = n
 	}
-	eng, err := radio.NewEngine(g, progs)
+	eng, err := radio.NewEngine(g, progs, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -134,7 +137,7 @@ func relayPath(g *graph.Graph, path []graph.NodeID) (int, error) {
 
 // runTour transmits the "delete me" message from each tour position in its
 // own round; all neighbors of tour nodes listen.
-func runTour(g *graph.Graph, tour []graph.NodeID) (int, error) {
+func runTour(g *graph.Graph, tour []graph.NodeID, cfg radio.Config) (int, error) {
 	horizon := len(tour)
 	progs := make(map[graph.NodeID]radio.Program, g.NumNodes())
 	listeners := make(map[graph.NodeID]bool)
@@ -154,7 +157,7 @@ func runTour(g *graph.Graph, tour []graph.NodeID) (int, error) {
 			progs[id] = idle{}
 		}
 	}
-	eng, err := radio.NewEngine(g, progs)
+	eng, err := radio.NewEngine(g, progs, cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 )
 
 func safeVictim(t *testing.T, net interface {
@@ -37,7 +38,7 @@ func TestLeaveLeaf(t *testing.T) {
 		t.Skip("no safe victim")
 	}
 	isLeaf := net.CNet().Tree().IsLeaf(victim)
-	res, err := Leave(net, victim)
+	res, err := Leave(net, victim, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestLeaveInternalSubtree(t *testing.T) {
 		}
 		size := net.Size()
 		sub := len(net.CNet().Tree().Subtree(victim))
-		res, err := Leave(net, victim)
+		res, err := Leave(net, victim, radio.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestLeaveAnnounceDepth(t *testing.T) {
 		t.Skip("no safe victim")
 	}
 	depth := tr.Depth(victim)
-	res, err := Leave(net, victim)
+	res, err := Leave(net, victim, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestLeaveAnnounceDepth(t *testing.T) {
 
 func TestLeaveErrors(t *testing.T) {
 	net := buildNetwork(t, 34, 20)
-	if _, err := Leave(net, 4242); err == nil {
+	if _, err := Leave(net, 4242, radio.Config{}); err == nil {
 		t.Fatal("absent node accepted")
 	}
 }
@@ -114,10 +115,10 @@ func TestJoinThenLeaveRoundTrip(t *testing.T) {
 	net := buildNetwork(t, 35, 50)
 	anchor := net.Root()
 	nbrs := append([]graph.NodeID{anchor}, net.Graph().Neighbors(anchor)...)
-	if _, err := Join(net, 5050, nbrs, 9); err != nil {
+	if _, err := Join(net, 5050, nbrs, 9, radio.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Leave(net, 5050)
+	res, err := Leave(net, 5050, radio.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/graph"
+	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
@@ -119,7 +120,7 @@ func TestFailoverOnSinkDeath(t *testing.T) {
 	}
 	var source graph.NodeID = 50
 	// Primary sink dies immediately.
-	opts := broadcast.Options{Failures: []broadcast.NodeFailure{{Node: 0, Round: 1}}}
+	opts := broadcast.Options{Config: radio.Config{Failures: []broadcast.NodeFailure{{Node: 0, Round: 1}}}}
 	res, err := m.Broadcast(source, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/geom"
+	"dynsens/internal/radio"
 	"dynsens/internal/trace"
 	"dynsens/internal/workload"
 )
@@ -127,7 +128,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestHeatSVGFromBroadcast(t *testing.T) {
 	net, d := setup(t)
 	rec := trace.NewRecorder(0)
-	m, err := net.Broadcast(net.Root(), broadcast.Options{TraceBatch: rec.BatchHook()})
+	m, err := net.Broadcast(net.Root(), broadcast.Options{Config: radio.Config{TraceBatch: rec.BatchHook()}})
 	if err != nil || !m.Completed {
 		t.Fatalf("broadcast: %v %s", err, m)
 	}

@@ -38,7 +38,7 @@ func AwakeBuckets() []float64 { return ExpBuckets(1, 2, 13) }
 func RoundBuckets() []float64 { return ExpBuckets(1, 2, 13) }
 
 // RadioCollector counts radio-engine events into a registry. Install its
-// BatchHook with radio.Engine.SetTraceBatch (or broadcast.Options.Obs does
+// BatchHook as radio.Config.TraceBatch (or broadcast.Options.Obs does
 // it for you) and call ObserveResult once the run finishes. The same
 // collector labels (for example protocol="ICFF") aggregate across repeated
 // runs. The engine calls the hook from a single goroutine (its serial
@@ -71,7 +71,7 @@ func NewRadioCollector(reg *Registry, labels ...Label) *RadioCollector {
 	}
 }
 
-// BatchHook returns the trace callback for radio.Engine.SetTraceBatch: it
+// BatchHook returns the trace callback for radio.Config.TraceBatch: it
 // tallies one shard buffer locally and then touches each counter's atomic
 // once per batch instead of once per event.
 func (c *RadioCollector) BatchHook() func([]radio.Event) {

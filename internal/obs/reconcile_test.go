@@ -9,6 +9,7 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/cnet"
 	"dynsens/internal/obs"
+	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 	"dynsens/internal/workload"
 )
@@ -36,9 +37,11 @@ func TestCollectorReconcilesWithMetrics(t *testing.T) {
 	a := build(t, 11, 80)
 	reg := obs.NewRegistry()
 	m, err := broadcast.RunICFF(a, a.Net().Root(), broadcast.Options{
-		Obs:      reg,
-		LossRate: 0.1,
-		LossSeed: 3,
+		Config: radio.Config{
+			LossRate: 0.1,
+			LossSeed: 3,
+		},
+		Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,10 +99,12 @@ func TestEventSinkJSONLMatchesCounters(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewEventSink(&buf)
 	_, err := broadcast.RunICFF(a, a.Net().Root(), broadcast.Options{
-		Obs:        reg,
-		TraceBatch: sink.BatchHook(),
-		LossRate:   0.05,
-		LossSeed:   9,
+		Config: radio.Config{
+			TraceBatch: sink.BatchHook(),
+			LossRate:   0.05,
+			LossSeed:   9,
+		},
+		Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,8 +44,8 @@ func NewEventSink(w io.Writer) *EventSink {
 	return &EventSink{w: w}
 }
 
-// BatchHook returns the callback for radio.Engine.SetTraceBatch or
-// broadcast.Options.TraceBatch: one shard buffer is marshaled into a
+// BatchHook returns the callback for radio.Config.TraceBatch (which
+// broadcast.Options embeds): one shard buffer is marshaled into a
 // single buffer and written under one lock acquisition and one Write
 // call, instead of one of each per event.
 func (s *EventSink) BatchHook() func([]radio.Event) {

@@ -27,16 +27,17 @@ func benchGraph(n, chordsPerNode int, seed int64) *graph.Graph {
 	return g
 }
 
-// benchEngine builds a fresh engine over g whose chaos programs stay busy
-// for horizon rounds. Fresh programs per call keep iterations independent.
-func benchEngine(b *testing.B, g *graph.Graph, horizon int, seed int64) *Engine {
+// benchEngine builds a fresh engine over g, running under cfg, whose chaos
+// programs stay busy for horizon rounds. Fresh programs per call keep
+// iterations independent.
+func benchEngine(b *testing.B, g *graph.Graph, horizon int, seed int64, cfg Config) *Engine {
 	b.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	progs := make(map[graph.NodeID]Program, g.NumNodes())
 	for _, id := range g.Nodes() {
 		progs[id] = &chaosProg{rng: rand.New(rand.NewSource(rng.Int63())), horizon: horizon}
 	}
-	eng, err := NewEngine(g, progs)
+	eng, err := NewEngine(g, progs, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,10 +68,7 @@ func engineModes(includeReference bool) []engineMode {
 func runEngineMode(b *testing.B, g *graph.Graph, mode engineMode, horizon int, seed int64) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := benchEngine(b, g, horizon, seed+int64(i))
-		if mode.workers > 0 {
-			eng.SetWorkers(mode.workers)
-		}
+		eng := benchEngine(b, g, horizon, seed+int64(i), Config{Workers: mode.workers})
 		b.StartTimer()
 		var res Result
 		if mode.workers == 0 {

@@ -28,10 +28,11 @@ type scenario struct {
 	parts     int     // partition windows over random node sets
 }
 
-// build constructs a fresh engine for the scenario. Every random choice is
-// drawn from streams derived only from s, so repeated calls produce
-// byte-identical engines with independent program state.
-func (s scenario) build(t testing.TB) *Engine {
+// build constructs a fresh engine for the scenario, running under cfg with
+// the scenario's fault schedule added. Every random choice is drawn from
+// streams derived only from s, so repeated calls produce byte-identical
+// engines with independent program state.
+func (s scenario) build(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(s.seed))
 	g := graph.New()
@@ -49,30 +50,24 @@ func (s scenario) build(t testing.TB) *Engine {
 	for _, id := range g.Nodes() {
 		progs[id] = &chaosProg{rng: rand.New(rand.NewSource(rng.Int63())), horizon: s.horizon}
 	}
-	eng, err := NewEngine(g, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < s.nodeFails; i++ {
 		// Rounds from -1 to rounds+2 cover pre-dead nodes, mid-run deaths,
 		// the final maxRounds+1 check, and never-reached schedules.
-		eng.FailNodeAt(graph.NodeID(rng.Intn(s.n)), rng.Intn(s.rounds+4)-1)
+		cfg.Failures = append(cfg.Failures, NodeFailure{Node: graph.NodeID(rng.Intn(s.n)), Round: rng.Intn(s.rounds+4) - 1})
 	}
 	for i := 0; i < s.linkFails; i++ {
 		u, v := rng.Intn(s.n), rng.Intn(s.n)
 		if u != v {
-			eng.FailLinkAt(graph.NodeID(u), graph.NodeID(v), rng.Intn(s.rounds+2))
+			cfg.LinkFailures = append(cfg.LinkFailures, LinkFailure{A: graph.NodeID(u), B: graph.NodeID(v), Round: rng.Intn(s.rounds + 2)})
 		}
 	}
+	cfg.Skew = make(map[graph.NodeID]int)
 	for i := 0; i < s.skewed; i++ {
-		eng.SetClockSkew(graph.NodeID(rng.Intn(s.n)), rng.Intn(5)-2)
+		cfg.Skew[graph.NodeID(rng.Intn(s.n))] = rng.Intn(5) - 2
 	}
 	if s.lossRate > 0 {
-		if err := eng.SetLoss(s.lossRate, s.seed*7919+1); err != nil {
-			t.Fatal(err)
-		}
+		cfg.LossRate, cfg.LossSeed = s.lossRate, s.seed*7919+1
 	}
-	var parts []rounds.Partition
 	for i := 0; i < s.parts; i++ {
 		from := rng.Intn(s.rounds+2) - 1
 		p := rounds.Partition{From: from, To: from + rng.Intn(4)}
@@ -81,21 +76,25 @@ func (s scenario) build(t testing.TB) *Engine {
 				p.Side = append(p.Side, graph.NodeID(id))
 			}
 		}
-		parts = append(parts, p)
+		cfg.Partitions = append(cfg.Partitions, p)
 	}
-	eng.SetPartitions(parts)
+	eng, err := NewEngine(g, progs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return eng
 }
 
-// runTraced executes the engine with a trace sink that serializes every
-// event — Seq included — into a byte stream.
-func runTraced(eng *Engine, rounds int, reference bool) (Result, []byte) {
+// runTraced builds an engine at the given worker count with a trace sink
+// that serializes every event — Seq included — into a byte stream, and
+// executes it.
+func runTraced(build func(Config) *Engine, workers, rounds int, reference bool) (Result, []byte) {
 	var buf bytes.Buffer
-	eng.SetTraceBatch(func(evs []Event) {
+	eng := build(Config{Workers: workers, TraceBatch: func(evs []Event) {
 		for _, ev := range evs {
 			fmt.Fprintf(&buf, "%+v\n", ev)
 		}
-	})
+	}})
 	if reference {
 		return eng.RunReference(rounds), buf.Bytes()
 	}
@@ -106,11 +105,10 @@ func runTraced(eng *Engine, rounds int, reference bool) (Result, []byte) {
 // the reference engine's Result and trace byte stream for the scenario.
 func checkEquivalence(t *testing.T, s scenario, workers []int) {
 	t.Helper()
-	wantRes, wantTrace := runTraced(s.build(t), s.rounds, true)
+	build := func(cfg Config) *Engine { return s.build(t, cfg) }
+	wantRes, wantTrace := runTraced(build, 0, s.rounds, true)
 	for _, w := range workers {
-		eng := s.build(t)
-		eng.SetWorkers(w)
-		gotRes, gotTrace := runTraced(eng, s.rounds, false)
+		gotRes, gotTrace := runTraced(build, w, s.rounds, false)
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("workers=%d: result diverges\n got %+v\nwant %+v", w, gotRes, wantRes)
 		}
@@ -163,7 +161,7 @@ func TestEngineEquivalenceZeroRounds(t *testing.T) {
 // path: failure events scheduled for round 1 still appear in the trace even
 // though no round executes.
 func TestEngineEquivalenceImmediateQuiescence(t *testing.T) {
-	build := func() *Engine {
+	build := func(cfg Config) *Engine {
 		g := graph.New()
 		_ = g.AddEdge(0, 1)
 		_ = g.AddEdge(1, 2)
@@ -172,17 +170,17 @@ func TestEngineEquivalenceImmediateQuiescence(t *testing.T) {
 			1: &chaosProg{rng: rand.New(rand.NewSource(2)), horizon: 0},
 			2: &chaosProg{rng: rand.New(rand.NewSource(3)), horizon: 0},
 		}
-		eng, err := NewEngine(g, progs)
+		cfg.Failures = []NodeFailure{{Node: 2, Round: 1}}
+		cfg.LinkFailures = []LinkFailure{{A: 0, B: 1, Round: 1}}
+		eng, err := NewEngine(g, progs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.FailNodeAt(2, 1)
-		eng.FailLinkAt(0, 1, 1)
 		return eng
 	}
 	// chaosProg with horizon 0 starts Done (cur=0 >= 0), so round 1
 	// quiesces immediately — after its failure events.
-	wantRes, wantTrace := runTraced(build(), 10, true)
+	wantRes, wantTrace := runTraced(build, 0, 10, true)
 	if !wantRes.Quiesced || wantRes.Rounds != 0 {
 		t.Fatalf("scenario not quiescing as intended: %+v", wantRes)
 	}
@@ -190,9 +188,7 @@ func TestEngineEquivalenceImmediateQuiescence(t *testing.T) {
 		t.Fatal("expected round-1 failure events in the trace")
 	}
 	for _, w := range equivalenceWorkers() {
-		eng := build()
-		eng.SetWorkers(w)
-		gotRes, gotTrace := runTraced(eng, 10, false)
+		gotRes, gotTrace := runTraced(build, w, 10, false)
 		if !reflect.DeepEqual(gotRes, wantRes) || !bytes.Equal(gotTrace, wantTrace) {
 			t.Fatalf("workers=%d diverges: %+v vs %+v", w, gotRes, wantRes)
 		}
@@ -263,23 +259,28 @@ func (p *sleepFrom) Act(round int) Action {
 	return p.Program.Act(round)
 }
 
-// TestHostCrashIsFailNodeAt pins the NodeHost crash contract: a node a host
-// reports crashed in round r sleeps through r and dies at the start of
-// r+1 — byte-identical to a sleeping program plus FailNodeAt(id, r+1), at
-// every worker count.
-func TestHostCrashIsFailNodeAt(t *testing.T) {
+// TestHostCrashIsScheduledFailure pins the NodeHost crash contract: a node
+// a host reports crashed in round r sleeps through r and dies at the start
+// of r+1 — byte-identical to a sleeping program plus a scheduled failure
+// at r+1, at every worker count.
+func TestHostCrashIsScheduledFailure(t *testing.T) {
 	s := scenario{seed: 13, n: 30, extraEdge: 25, horizon: 18, rounds: 20, lossRate: 0.2, linkFails: 3}
 	const victim, crashAt = 11, 6
-	twin := s.build(t)
-	id := twin.g.Nodes()[victim]
-	twin.programs[id] = &sleepFrom{Program: twin.programs[id], from: crashAt}
-	twin.FailNodeAt(id, crashAt+1)
-	wantRes, wantTrace := runTraced(twin, s.rounds, true)
-	for _, w := range equivalenceWorkers() {
-		eng := s.build(t)
+	twin := func(cfg Config) *Engine {
+		id := graph.NodeID(victim) // chaos scenarios number their nodes 0..n-1
+		cfg.Failures = []NodeFailure{{Node: id, Round: crashAt + 1}}
+		eng := s.build(t, cfg)
+		eng.programs[id] = &sleepFrom{Program: eng.programs[id], from: crashAt}
+		return eng
+	}
+	wantRes, wantTrace := runTraced(twin, 0, s.rounds, true)
+	crashing := func(cfg Config) *Engine {
+		eng := s.build(t, cfg)
 		eng.host = &crashHost{programHost: eng.host.(*programHost), victim: victim, crashAt: crashAt}
-		eng.SetWorkers(w)
-		gotRes, gotTrace := runTraced(eng, s.rounds, false)
+		return eng
+	}
+	for _, w := range equivalenceWorkers() {
+		gotRes, gotTrace := runTraced(crashing, w, s.rounds, false)
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("workers=%d: result diverges\n got %+v\nwant %+v", w, gotRes, wantRes)
 		}

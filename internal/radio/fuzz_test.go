@@ -57,12 +57,8 @@ func FuzzEngineAccounting(f *testing.F) {
 			chaos[id] = c
 			progs[id] = c
 		}
-		eng, err := NewEngine(g, progs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var txEvents, rxEvents, collEvents int
-		eng.SetTraceBatch(func(evs []Event) {
+		eng, err := NewEngine(g, progs, Config{TraceBatch: func(evs []Event) {
 			for _, ev := range evs {
 				switch ev.Kind {
 				case EvTransmit:
@@ -73,7 +69,10 @@ func FuzzEngineAccounting(f *testing.F) {
 					collEvents++
 				}
 			}
-		})
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res := eng.Run(horizon)
 
 		totalListens, totalTransmits, totalDelivered := 0, 0, 0

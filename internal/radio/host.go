@@ -75,7 +75,7 @@ func (b *Batch) Deliveries() []Delivery { return b.sh.deliv }
 
 // Crash reports that node i stopped taking part mid-round: it sleeps for
 // the rest of this round and dies — EvNodeFail and all — at the start of
-// the next, exactly as if FailNodeAt had scheduled it.
+// the next, exactly as if a Config.Failures entry had scheduled it.
 func (b *Batch) Crash(i int) {
 	b.k.actions[i] = Action{}
 	b.sh.crashed = append(b.sh.crashed, int32(i))

@@ -30,7 +30,7 @@ import (
 // changes the NodeHost, never the round semantics.
 //
 // Determinism by construction: loss coins come from splitmix64 counter
-// streams keyed (lossSeed, listener, round) — see rng.go — so any shard can
+// streams keyed (LossSeed, listener, round) — see rng.go — so any shard can
 // draw any of its listeners' coins with zero cross-shard ordering
 // dependency; no phase touches a shared RNG. Event.Seq is stamped by an
 // ordered stitch: short serial steps between phases prefix-sum the
@@ -54,7 +54,7 @@ import (
 // minParallelNodes is the graph size below which the default worker count
 // stays at 1 (phases run inline on the Run goroutine): shard bookkeeping
 // costs more than it saves on small graphs, and the paper's own sweep sizes
-// (≤ 720 nodes) are well inside that regime. An explicit SetWorkers call
+// (≤ 720 nodes) are well inside that regime. An explicit Config.Workers
 // overrides the heuristic — the equivalence tests use that to force
 // multi-shard execution on tiny graphs.
 const minParallelNodes = 1024
@@ -70,16 +70,9 @@ const maxBitsetChannels = 1024
 // cache win without the quadratic footprint.
 const denseRowsMaxBytes = 256 << 20
 
-// SetWorkers fixes the number of shard workers for Run's act, resolve and
-// deliver phases. w <= 0 restores the default: GOMAXPROCS, except that
-// graphs smaller than minParallelNodes run inline. An explicit w >= 1 is
-// honored exactly (capped at the node count). Results, traces and flight
-// recordings are byte-identical at any worker count; SetWorkers only moves
-// wall-clock time. Not safe to call while Run is in flight.
-func (e *Engine) SetWorkers(w int) { e.workers = w }
-
+// effectiveWorkers resolves Config.Workers for an n-node run.
 func (e *Engine) effectiveWorkers(n int) int {
-	w := e.workers
+	w := e.cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 		if n < minParallelNodes {
@@ -205,7 +198,7 @@ type kernel struct {
 
 	// Perf instrumentation (see perf.go). perfOn gates every clock read so
 	// uninstrumented runs pay only predictable branches; the accumulators
-	// are goroutine-local until flushPerf folds them into e.perf.
+	// are goroutine-local until flushPerf folds them into e.cfg.Perf.
 	perfOn      bool
 	perfStart   int64 // nanotime at run start
 	perfSeq0    uint64
@@ -220,7 +213,7 @@ const neverDies = int(^uint(0) >> 1)
 // is the three-phase shard-parallel kernel; its Result, trace event stream
 // (including Event.Seq), obs counters and flight recordings are
 // byte-identical to RunReference for any Program set honoring the Program
-// contract, at any SetWorkers value.
+// contract, at any Config.Workers value.
 func (e *Engine) Run(maxRounds int) Result {
 	return e.newKernel().run(maxRounds)
 }
@@ -239,12 +232,12 @@ func (e *Engine) newKernel() *kernel {
 		awake:     make([]int, n),
 		listens:   make([]int, n),
 		transmits: make([]int, n),
-		traced:    e.traceBatch != nil,
-		perfOn:    e.perf != nil,
+		traced:    e.cfg.TraceBatch != nil,
+		perfOn:    e.cfg.Perf != nil,
 	}
 	for i, id := range nodes {
 		k.idx[id] = int32(i)
-		k.skews[i] = e.skew[id]
+		k.skews[i] = e.cfg.Skew[id]
 		k.deadAt[i] = neverDies
 	}
 
@@ -593,7 +586,7 @@ func (k *kernel) resolve(sh *shard, round int) {
 	sh.nRx, sh.nLoss, sh.nDel, sh.nCol = 0, 0, 0, 0
 	e := k.e
 	hasLinkFails := len(e.linkFail) > 0
-	lossy := e.lossRate > 0
+	lossy := e.cfg.LossRate > 0
 	cut := e.parts.Active(round)
 	for i := sh.lo; i < sh.hi; i++ {
 		a := &k.actions[i]
@@ -685,9 +678,9 @@ func (k *kernel) resolve(sh *shard, round int) {
 		// and lost-index buffers live in the shard so the per-listener call
 		// allocates nothing.
 		if lossy {
-			sh.st = rounds.NewLossStream(e.lossSeed, id, round)
+			sh.st = rounds.NewLossStream(uint64(e.cfg.LossSeed), id, round)
 		}
-		verdict, win, lost := rounds.Resolve(len(sh.cand), e.lossRate, &sh.st, sh.lost[:0])
+		verdict, win, lost := rounds.Resolve(len(sh.cand), e.cfg.LossRate, &sh.st, sh.lost[:0])
 		sh.lost = lost
 		for _, c := range lost {
 			j := sh.cand[c]

@@ -50,7 +50,7 @@ func nanotime() int64 { return int64(time.Since(perfEpoch)) }
 
 // perfMaxShards bounds the per-shard busy-time accumulators. Worker counts
 // live well below this (effectiveWorkers defaults to GOMAXPROCS); an
-// explicit SetWorkers beyond it folds the excess shards into the last
+// explicit Config.Workers beyond it folds the excess shards into the last
 // slot rather than dropping them.
 const perfMaxShards = 256
 
@@ -87,17 +87,8 @@ type Perf struct {
 	shards  atomic.Int64 // max shard count folded in so far
 }
 
-// NewPerf returns an empty collector, ready to attach with
-// Engine.SetPerf.
+// NewPerf returns an empty collector, ready to attach as Config.Perf.
 func NewPerf() *Perf { return &Perf{} }
-
-// SetPerf attaches a performance collector to the engine's Run (nil
-// detaches). Attaching one never changes what Run computes: results,
-// traces and flight recordings stay byte-identical — the collector only
-// observes wall-clock time and event volume. RunReference is not
-// instrumented (it is the executable spec, kept boring on purpose). Not
-// safe to call while Run is in flight.
-func (e *Engine) SetPerf(p *Perf) { e.perf = p }
 
 // PhaseTime is one named phase timer in a snapshot.
 type PhaseTime struct {
@@ -205,7 +196,7 @@ func (s PerfSnapshot) EventsPerRound() float64 {
 // Run goroutine; the final phase barrier's happens-before edge makes every
 // shard's busyNs visible here.
 func (k *kernel) flushPerf() {
-	p := k.e.perf
+	p := k.e.cfg.Perf
 	p.runs.Add(1)
 	p.rounds.Add(int64(k.roundsDone))
 	p.events.Add(int64(k.e.seq - k.perfSeq0))

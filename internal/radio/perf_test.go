@@ -78,9 +78,7 @@ func TestPerfAccumulatesAcrossRuns(t *testing.T) {
 	s := scenario{seed: 3, n: 25, extraEdge: 30, horizon: 20, rounds: 20}
 	p := NewPerf()
 
-	eng := s.build(t)
-	eng.SetWorkers(1)
-	eng.SetPerf(p)
+	eng := s.build(t, Config{Workers: 1, Perf: p})
 	res1 := eng.Run(s.rounds)
 
 	snap := p.Snapshot()
@@ -97,9 +95,7 @@ func TestPerfAccumulatesAcrossRuns(t *testing.T) {
 		t.Fatalf("after first run: %d shard slots, want 1", len(snap.ShardBusyNs))
 	}
 
-	eng = s.build(t)
-	eng.SetWorkers(4)
-	eng.SetPerf(p)
+	eng = s.build(t, Config{Workers: 4, Perf: p})
 	res2 := eng.Run(s.rounds)
 
 	snap = p.Snapshot()

@@ -238,31 +238,95 @@ type linkKey = rounds.Link
 
 func mkLink(u, v graph.NodeID) linkKey { return rounds.MkLink(u, v) }
 
-// Engine drives a set of nodes over a graph.
-type Engine struct {
-	g          *graph.Graph
-	host       NodeHost
-	programs   map[graph.NodeID]Program // in-process engines only (RunReference)
-	parts      *rounds.Partitions       // healable partition windows; nil = none
-	nodeFail   map[graph.NodeID]int     // node -> round it dies (inclusive)
-	linkFail   map[linkKey]int          // link -> round it is cut (inclusive)
-	skew       map[graph.NodeID]int     // node -> local clock offset in rounds
-	traceBatch func([]Event)
-	one        [1]Event // reusable single-event batch for emit
-	seq        uint64   // monotonic Event.Seq counter
-	workers    int      // shard workers for Run's parallel phases; 0 = default
-	perf       *Perf    // optional performance collector (see perf.go); nil = off
-
-	// lossRate drops each (transmitter, listener, round) frame
-	// independently with this probability; lossSeed keys the per-(listener,
-	// round) counter streams (see rng.go) that draw the coins.
-	lossRate float64
-	lossSeed uint64
+// NodeFailure kills a node at the start of a round during the run.
+type NodeFailure struct {
+	Node  graph.NodeID
+	Round int
 }
 
-// NewEngine builds an engine over g. programs must contain an entry for
-// every node of g.
-func NewEngine(g *graph.Graph, programs map[graph.NodeID]Program) (*Engine, error) {
+// LinkFailure cuts a link at the start of a round during the run.
+type LinkFailure struct {
+	A, B  graph.NodeID
+	Round int
+}
+
+// Config is everything a run can be told beyond its graph and its nodes:
+// the fault schedule, the sinks and the worker count. The zero value is a
+// fault-free, untraced run at the default worker count. Every protocol
+// package passes its caller's Config to the engine unchanged.
+type Config struct {
+	// Failures kill nodes at the start of a round (1-based): from that
+	// round on the node neither transmits nor listens. A later entry for
+	// the same node wins; a node the graph lacks still has its death
+	// traced.
+	Failures []NodeFailure
+	// LinkFailures cut links at the start of a round.
+	LinkFailures []LinkFailure
+	// Skew gives nodes a local clock offset: at global round r a node
+	// believes the round is r+offset and acts accordingly. This models the
+	// imperfect synchronization Section 3.3 discusses — TDM schedules
+	// tolerate skew only up to their guard margins, which the skew
+	// experiment measures.
+	Skew map[graph.NodeID]int
+	// LossRate, in [0,1), drops every frame independently on each listener
+	// (fading, interference from outside the model). Lost frames are
+	// neither delivered nor do they jam: the listener simply never hears
+	// them. LossSeed keys the coins: counter-based splitmix64 streams
+	// keyed by (seed, listener, round) — see internal/radio/rounds — so
+	// the coin for a given frame does not depend on what any other
+	// listener heard, and the kernel can draw it in-shard. The scheme
+	// changed in the stream-RNG revision: runs with the same seed draw
+	// different coins than the old serial-*rand.Rand engine did (flight
+	// recordings carry the scheme name in their header so old recordings
+	// stay interpretable).
+	LossRate float64
+	LossSeed int64
+	// Partitions script healable partitions (see rounds.Partition): while
+	// a window is up, a listener does not hear transmitters on the other
+	// side of its cut, and each swallowed frame is traced as an EvLoss.
+	Partitions []rounds.Partition
+	// TraceBatch, when non-nil, receives the run's events: contiguous runs
+	// of events — one call per shard buffer per phase per round — instead
+	// of one call per event, which keeps instrumentation off the per-event
+	// hot path. Batches arrive on the run goroutine, already Seq-stamped,
+	// in the deterministic global event order at any worker count. The
+	// slice is reused by the engine: consumers must copy events they
+	// retain past the callback's return.
+	TraceBatch func([]Event)
+	// Perf, when non-nil, collects kernel performance measurements (see
+	// perf.go). It never changes what Run computes: results, traces and
+	// flight recordings stay byte-identical — the collector only observes
+	// wall-clock time and event volume. RunReference is not instrumented
+	// (it is the executable spec, kept boring on purpose).
+	Perf *Perf
+	// Workers fixes the number of shard workers for Run's act, resolve and
+	// deliver phases. 0 (or less) keeps the default: GOMAXPROCS, except
+	// that graphs smaller than minParallelNodes run inline. An explicit
+	// w >= 1 is honored exactly (capped at the node count). Results,
+	// traces and flight recordings are byte-identical at any worker count;
+	// Workers only moves wall-clock time.
+	Workers int
+}
+
+// Engine drives a set of nodes over a graph.
+type Engine struct {
+	g        *graph.Graph
+	host     NodeHost
+	programs map[graph.NodeID]Program // in-process engines only (RunReference)
+	cfg      Config
+
+	// Lookup forms of cfg's schedules, built once by NewHostedEngine.
+	parts    *rounds.Partitions   // healable partition windows; nil = none
+	nodeFail map[graph.NodeID]int // node -> round it dies (inclusive)
+	linkFail map[linkKey]int      // link -> round it is cut (inclusive)
+
+	one [1]Event // reusable single-event batch for emit
+	seq uint64   // monotonic Event.Seq counter
+}
+
+// NewEngine builds an engine over g that runs under cfg. programs must
+// contain an entry for every node of g.
+func NewEngine(g *graph.Graph, programs map[graph.NodeID]Program, cfg Config) (*Engine, error) {
 	for _, id := range g.Nodes() {
 		if programs[id] == nil {
 			return nil, fmt.Errorf("radio: no program for node %d", id)
@@ -271,73 +335,41 @@ func NewEngine(g *graph.Graph, programs map[graph.NodeID]Program) (*Engine, erro
 	if len(programs) != g.NumNodes() {
 		return nil, fmt.Errorf("radio: %d programs for %d nodes", len(programs), g.NumNodes())
 	}
-	e := NewHostedEngine(g, &programHost{programs: programs})
+	e, err := NewHostedEngine(g, &programHost{programs: programs}, cfg)
+	if err != nil {
+		return nil, err
+	}
 	e.programs = programs
 	return e, nil
 }
 
 // NewHostedEngine builds an engine over g whose nodes live behind host —
-// the seam a distributed runtime plugs its fleet into. Run drives them
-// exactly as it drives in-process Programs; RunReference needs in-process
-// Programs and is only available on NewEngine engines.
-func NewHostedEngine(g *graph.Graph, host NodeHost) *Engine {
-	return &Engine{
+// the seam a distributed runtime plugs its fleet into — and that runs
+// under cfg. Run drives them exactly as it drives in-process Programs;
+// RunReference needs in-process Programs and is only available on
+// NewEngine engines.
+func NewHostedEngine(g *graph.Graph, host NodeHost, cfg Config) (*Engine, error) {
+	if !(cfg.LossRate >= 0 && cfg.LossRate < 1) {
+		return nil, fmt.Errorf("radio: loss rate %v out of [0,1)", cfg.LossRate)
+	}
+	e := &Engine{
 		g:        g,
 		host:     host,
-		nodeFail: make(map[graph.NodeID]int),
-		linkFail: make(map[linkKey]int),
-		skew:     make(map[graph.NodeID]int),
+		cfg:      cfg,
+		parts:    rounds.NewPartitions(cfg.Partitions),
+		nodeFail: make(map[graph.NodeID]int, len(cfg.Failures)),
+		linkFail: make(map[linkKey]int, len(cfg.LinkFailures)),
 	}
+	for _, f := range cfg.Failures {
+		e.nodeFail[f.Node] = f.Round
+	}
+	for _, f := range cfg.LinkFailures {
+		e.linkFail[mkLink(f.A, f.B)] = f.Round
+	}
+	return e, nil
 }
 
-// SetTraceBatch installs the trace callback (nil disables it): the engine
-// hands over contiguous runs of events — one call per shard buffer per
-// phase per round — instead of one call per event, which keeps
-// instrumentation off the per-event hot path. Batches arrive on the run
-// goroutine, already Seq-stamped, in the deterministic global event order
-// at any worker count. The slice is reused by the engine: consumers must
-// copy events they retain past the callback's return.
-func (e *Engine) SetTraceBatch(fn func([]Event)) { e.traceBatch = fn }
-
-// FailNodeAt schedules node id to die at the start of round r (1-based);
-// from round r on it neither transmits nor listens.
-func (e *Engine) FailNodeAt(id graph.NodeID, r int) { e.nodeFail[id] = r }
-
-// FailLinkAt schedules the link {u, v} to be cut at the start of round r.
-func (e *Engine) FailLinkAt(u, v graph.NodeID, r int) { e.linkFail[mkLink(u, v)] = r }
-
-// SetClockSkew gives node id a local clock offset: at global round r the
-// node believes the round is r+offset and acts accordingly. This models
-// the imperfect synchronization Section 3.3 discusses — TDM schedules
-// tolerate skew only up to their guard margins, which the skew experiment
-// measures.
-func (e *Engine) SetClockSkew(id graph.NodeID, offset int) { e.skew[id] = offset }
-
-func (e *Engine) localRound(id graph.NodeID, round int) int { return round + e.skew[id] }
-
-// SetLoss makes every frame be lost independently with probability rate on
-// each listener (fading, interference from outside the model). Lost frames
-// are neither delivered nor do they jam: the listener simply never hears
-// them. Deterministic per seed: coins come from counter-based splitmix64
-// streams keyed by (seed, listener, round) — see internal/radio/rounds —
-// so the coin for a given frame does not depend on what any other listener
-// heard, and the kernel can draw it in-shard. The scheme changed in the stream-RNG
-// revision: runs with the same seed draw different coins than the old
-// serial-*rand.Rand engine did (flight recordings carry the scheme name in
-// their header so old recordings stay interpretable).
-func (e *Engine) SetLoss(rate float64, seed int64) error {
-	if rate < 0 || rate >= 1 {
-		return fmt.Errorf("radio: loss rate %v out of [0,1)", rate)
-	}
-	e.lossRate = rate
-	e.lossSeed = uint64(seed)
-	return nil
-}
-
-// SetPartitions scripts healable partitions (see rounds.Partition): while
-// a window is up, a listener does not hear transmitters on the other side
-// of its cut, and each swallowed frame is traced as an EvLoss.
-func (e *Engine) SetPartitions(ps []rounds.Partition) { e.parts = rounds.NewPartitions(ps) }
+func (e *Engine) localRound(id graph.NodeID, round int) int { return round + e.cfg.Skew[id] }
 
 func (e *Engine) nodeAlive(id graph.NodeID, round int) bool {
 	r, ok := e.nodeFail[id]
@@ -352,9 +384,9 @@ func (e *Engine) linkAlive(u, v graph.NodeID, round int) bool {
 func (e *Engine) emit(ev Event) {
 	e.seq++
 	ev.Seq = e.seq
-	if e.traceBatch != nil {
+	if e.cfg.TraceBatch != nil {
 		e.one[0] = ev
-		e.traceBatch(e.one[:])
+		e.cfg.TraceBatch(e.one[:])
 	}
 }
 
@@ -362,8 +394,8 @@ func (e *Engine) emit(ev Event) {
 // trace hook. The kernel calls this once per shard buffer per phase per
 // round from its serial stitch.
 func (e *Engine) sinkBatch(evs []Event) {
-	if len(evs) > 0 && e.traceBatch != nil {
-		e.traceBatch(evs)
+	if len(evs) > 0 && e.cfg.TraceBatch != nil {
+		e.cfg.TraceBatch(evs)
 	}
 }
 
@@ -496,12 +528,12 @@ func (e *Engine) RunReference(maxRounds int) Result {
 				audible = append(audible, t)
 			}
 			var st rounds.LossStream
-			if e.lossRate > 0 {
-				st = rounds.NewLossStream(e.lossSeed, id, round)
+			if e.cfg.LossRate > 0 {
+				st = rounds.NewLossStream(uint64(e.cfg.LossSeed), id, round)
 			}
 			var heard []tx
 			for _, t := range audible {
-				if e.lossRate > 0 && st.Next() < e.lossRate {
+				if e.cfg.LossRate > 0 && st.Next() < e.cfg.LossRate {
 					res.Losses++
 					e.emit(Event{Round: round, Kind: EvLoss, Node: id, Peer: t.from, Channel: ch, Msg: t.msg})
 					continue

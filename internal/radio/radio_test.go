@@ -49,7 +49,7 @@ func pair(t *testing.T) *graph.Graph {
 
 func runEngine(t *testing.T, g *graph.Graph, progs map[graph.NodeID]Program, rounds int) Result {
 	t.Helper()
-	e, err := NewEngine(g, progs)
+	e, err := NewEngine(g, progs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestNodeFailureSilences(t *testing.T) {
 	g := pair(t)
 	tx := newScript(map[int]Action{2: TransmitOn(0, Message{Seq: 9})})
 	rx := newScript(map[int]Action{2: ListenOn(0)})
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx})
+	// Node 0 dies at start of round 2: its transmit never happens.
+	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx}, Config{Failures: []NodeFailure{{Node: 0, Round: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.FailNodeAt(0, 2) // dies at start of round 2: its transmit never happens
 	e.Run(3)
 	if len(rx.received) != 0 {
 		t.Fatal("dead node transmitted")
@@ -183,11 +183,11 @@ func TestNodeFailureAfterTransmit(t *testing.T) {
 	g := pair(t)
 	tx := newScript(map[int]Action{1: TransmitOn(0, Message{Seq: 9})})
 	rx := newScript(map[int]Action{1: ListenOn(0)})
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx})
+	// Node 0 dies after round 1: its transmit succeeds.
+	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx}, Config{Failures: []NodeFailure{{Node: 0, Round: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.FailNodeAt(0, 2) // dies after round 1: transmit succeeds
 	e.Run(3)
 	if len(rx.received) != 1 {
 		t.Fatal("round-1 transmit lost")
@@ -198,11 +198,10 @@ func TestLinkFailure(t *testing.T) {
 	g := pair(t)
 	tx := newScript(map[int]Action{2: TransmitOn(0, Message{Seq: 9})})
 	rx := newScript(map[int]Action{2: ListenOn(0)})
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx})
+	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx}, Config{LinkFailures: []LinkFailure{{A: 1, B: 0, Round: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.FailLinkAt(1, 0, 2)
 	res := e.Run(3)
 	if len(rx.received) != 0 {
 		t.Fatal("cut link carried a message")
@@ -220,11 +219,10 @@ func TestDeadNeighborDoesNotJam(t *testing.T) {
 	a := newScript(map[int]Action{1: TransmitOn(0, Message{Seq: 1})})
 	b := newScript(map[int]Action{1: TransmitOn(0, Message{Seq: 2})})
 	rx := newScript(map[int]Action{1: ListenOn(0)})
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: a, 2: b, 1: rx})
+	e, err := NewEngine(g, map[graph.NodeID]Program{0: a, 2: b, 1: rx}, Config{Failures: []NodeFailure{{Node: 2, Round: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.FailNodeAt(2, 1)
 	e.Run(2)
 	if len(rx.received) != 1 || rx.received[0].Seq != 1 {
 		t.Fatalf("received %v", rx.received)
@@ -233,13 +231,13 @@ func TestDeadNeighborDoesNotJam(t *testing.T) {
 
 func TestEngineRejectsMissingProgram(t *testing.T) {
 	g := pair(t)
-	_, err := NewEngine(g, map[graph.NodeID]Program{0: newScript(nil)})
+	_, err := NewEngine(g, map[graph.NodeID]Program{0: newScript(nil)}, Config{})
 	if err == nil {
 		t.Fatal("missing program accepted")
 	}
 	_, err = NewEngine(g, map[graph.NodeID]Program{
 		0: newScript(nil), 1: newScript(nil), 7: newScript(nil),
-	})
+	}, Config{})
 	if err == nil {
 		t.Fatal("extra program accepted")
 	}
@@ -249,12 +247,11 @@ func TestTraceEvents(t *testing.T) {
 	g := pair(t)
 	tx := newScript(map[int]Action{1: TransmitOn(0, Message{Seq: 3})})
 	rx := newScript(map[int]Action{1: ListenOn(0)})
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx})
+	var evs []Event
+	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx}, Config{TraceBatch: func(batch []Event) { evs = append(evs, batch...) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evs []Event
-	e.SetTraceBatch(func(batch []Event) { evs = append(evs, batch...) })
 	e.Run(2)
 	var sawTx, sawRx bool
 	for _, ev := range evs {
@@ -312,11 +309,10 @@ func TestClockSkewShiftsSchedule(t *testing.T) {
 	g := pair(t)
 	tx := newScript(map[int]Action{2: TransmitOn(0, Message{Seq: 5})})
 	rx := newScript(map[int]Action{1: ListenOn(0)})
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx})
+	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx}, Config{Skew: map[graph.NodeID]int{0: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetClockSkew(0, 1)
 	e.Run(3)
 	if len(rx.received) != 1 || rx.received[0].Seq != 5 {
 		t.Fatalf("skewed transmission not heard at shifted round: %v", rx.received)
@@ -329,11 +325,10 @@ func TestClockSkewBreaksAlignment(t *testing.T) {
 	g := pair(t)
 	tx := newScript(map[int]Action{1: TransmitOn(0, Message{Seq: 5})})
 	rx := newScript(map[int]Action{1: ListenOn(0)})
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx})
+	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx}, Config{Skew: map[graph.NodeID]int{0: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetClockSkew(0, -1)
 	e.Run(3)
 	if len(rx.received) != 0 {
 		t.Fatalf("misaligned transmission heard: %v", rx.received)
@@ -344,18 +339,17 @@ func TestDeliverSeesLocalRound(t *testing.T) {
 	g := pair(t)
 	tx := newScript(map[int]Action{1: TransmitOn(0, Message{Seq: 5})})
 	rx := newScript(map[int]Action{0: ListenOn(0), 1: ListenOn(0)})
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx})
+	skew := Config{Skew: map[graph.NodeID]int{1: 1}} // listener's local round 2 == global round 1
+	e, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx}, skew)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetClockSkew(1, 1) // listener's local round 2 == global round 1
 	var localRound int
 	rxWrapped := &roundCapture{inner: rx, last: &localRound}
-	e2, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rxWrapped})
+	e2, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rxWrapped}, skew)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2.SetClockSkew(1, 1)
 	e2.Run(2)
 	_ = e
 	if localRound != 2 {
@@ -375,19 +369,16 @@ func (r *roundCapture) Deliver(round int, msg Message) {
 }
 func (r *roundCapture) Done() bool { return false }
 
-func TestSetLossBoundsAndEffect(t *testing.T) {
+func TestLossRateBoundsAndEffect(t *testing.T) {
 	g := pair(t)
-	e, err := NewEngine(g, map[graph.NodeID]Program{0: newScript(nil), 1: newScript(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetLoss(-0.1, 1); err == nil {
+	progs := func() map[graph.NodeID]Program { return map[graph.NodeID]Program{0: newScript(nil), 1: newScript(nil)} }
+	if _, err := NewEngine(g, progs(), Config{LossRate: -0.1, LossSeed: 1}); err == nil {
 		t.Fatal("negative loss accepted")
 	}
-	if err := e.SetLoss(1, 1); err == nil {
+	if _, err := NewEngine(g, progs(), Config{LossRate: 1, LossSeed: 1}); err == nil {
 		t.Fatal("loss rate 1 accepted")
 	}
-	if err := e.SetLoss(0.5, 1); err != nil {
+	if _, err := NewEngine(g, progs(), Config{LossRate: 0.5, LossSeed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// With heavy loss, repeated transmissions sometimes fail to arrive.
@@ -399,11 +390,8 @@ func TestSetLossBoundsAndEffect(t *testing.T) {
 	}
 	tx := newScript(script)
 	rx := newScript(rxScript)
-	e2, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx})
+	e2, err := NewEngine(g, map[graph.NodeID]Program{0: tx, 1: rx}, Config{LossRate: 0.5, LossSeed: 7})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.SetLoss(0.5, 7); err != nil {
 		t.Fatal(err)
 	}
 	e2.Run(40)

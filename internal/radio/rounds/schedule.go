@@ -21,10 +21,10 @@ func MkLink(u, v graph.NodeID) Link {
 // links are cut, at the start of which round — bucketed by round so a round
 // with no failures costs one map lookup instead of a rescan, with the
 // per-round buckets sorted for deterministic event emission. The kernel
-// builds one from the FailNodeAt/FailLinkAt inputs and grows it at run time
-// via Kill when a node host reports a node crashed mid-round (a remote node
-// that missed a barrier or died), which keeps such crashes on exactly the
-// failure-schedule semantics of a scripted death.
+// builds one from the engine Config's failure lists and grows it at run
+// time via Kill when a node host reports a node crashed mid-round (a remote
+// node that missed a barrier or died), which keeps such crashes on exactly
+// the failure-schedule semantics of a scripted death.
 type Schedule struct {
 	nodeFail map[graph.NodeID]int
 	nodeAt   map[int][]graph.NodeID
@@ -74,8 +74,8 @@ func (s *Schedule) NodeFails(r int) []graph.NodeID { return s.nodeAt[r] }
 func (s *Schedule) LinkFails(r int) []Link { return s.linkAt[r] }
 
 // Kill schedules id to die at the start of round r, unless an earlier (or
-// equal) death is already on record — the earliest death wins, like the
-// engine's FailNodeAt overwritten by a smaller round. Used by the kernel to
+// equal) death is already on record — the earliest death wins, like a
+// Config.Failures entry overwritten by a later one with a smaller round. Used by the kernel to
 // fold host-reported crashes into the same schedule the scripted failures
 // live in.
 func (s *Schedule) Kill(id graph.NodeID, r int) {

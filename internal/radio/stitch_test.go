@@ -67,7 +67,7 @@ func TestStampSeqStitchProperty(t *testing.T) {
 // the reference loop byte for byte.
 func TestEngineEquivalenceDenseBitset(t *testing.T) {
 	s := scenario{seed: 31, n: 150, extraEdge: 600, horizon: 12, rounds: 14, lossRate: 0.3}
-	eng := s.build(t)
+	eng := s.build(t, Config{})
 	k := eng.newKernel()
 	if k.denseRows == nil {
 		t.Fatalf("scenario does not trigger dense neighbor rows (txWords=%d)", k.txWords)
@@ -105,7 +105,7 @@ func (p *chanProg) Done() bool { return false }
 // table, and their listeners must still hear exactly what the reference
 // loop says, loss coins included.
 func TestEngineEquivalenceOutOfRangeChannels(t *testing.T) {
-	build := func() *Engine {
+	build := func(cfg Config) *Engine {
 		rng := rand.New(rand.NewSource(91))
 		g := graph.New()
 		g.AddNode(0)
@@ -122,23 +122,19 @@ func TestEngineEquivalenceOutOfRangeChannels(t *testing.T) {
 		for _, id := range g.Nodes() {
 			progs[id] = &chanProg{id: id, budget: 12}
 		}
-		eng, err := NewEngine(g, progs)
+		cfg.LossRate, cfg.LossSeed = 0.25, 433
+		eng, err := NewEngine(g, progs, cfg)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.SetLoss(0.25, 433); err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
-	wantRes, wantTrace := runTraced(build(), 12, true)
+	wantRes, wantTrace := runTraced(build, 0, 12, true)
 	if wantRes.Deliveries == 0 {
 		t.Fatal("scenario delivers nothing; fallback path not exercised")
 	}
 	for _, w := range equivalenceWorkers() {
-		eng := build()
-		eng.SetWorkers(w)
-		gotRes, gotTrace := runTraced(eng, 12, false)
+		gotRes, gotTrace := runTraced(build, w, 12, false)
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("workers=%d: result diverges\n got %+v\nwant %+v", w, gotRes, wantRes)
 		}
@@ -165,27 +161,23 @@ func TestEngineWorkersLargeSmoke(t *testing.T) {
 	for i := 1; i < n; i++ {
 		_ = g.AddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)))
 	}
-	build := func() *Engine {
+	build := func(cfg Config) *Engine {
 		progs := make(map[graph.NodeID]Program, n)
 		for _, id := range g.Nodes() {
 			progs[id] = &chanProg{id: id, budget: 3}
 		}
-		eng, err := NewEngine(g, progs)
+		cfg.LossRate, cfg.LossSeed = 0.1, 99
+		eng, err := NewEngine(g, progs, cfg)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.SetLoss(0.1, 99); err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
 	run := func(workers int) (Result, uint64) {
-		eng := build()
-		eng.SetWorkers(workers)
 		h := fnv.New64a()
 		var rec [10]uint64
 		var buf [80]byte
-		eng.SetTraceBatch(func(evs []Event) {
+		eng := build(Config{Workers: workers, TraceBatch: func(evs []Event) {
 			for _, ev := range evs {
 				rec = [10]uint64{ev.Seq, uint64(ev.Round), uint64(ev.Kind),
 					uint64(ev.Node), uint64(ev.Peer), uint64(ev.Channel),
@@ -195,7 +187,7 @@ func TestEngineWorkersLargeSmoke(t *testing.T) {
 				}
 				h.Write(buf[:])
 			}
-		})
+		}})
 		res := eng.Run(3)
 		return res, h.Sum64()
 	}

@@ -22,7 +22,6 @@ import (
 	"dynsens/internal/dist"
 	"dynsens/internal/energy"
 	"dynsens/internal/flight"
-	"dynsens/internal/gather"
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
 	"dynsens/internal/netio"
@@ -62,10 +61,10 @@ type RunOptions struct {
 	// broadcast series (broadcast.Options.Obs).
 	Obs *obs.Registry
 	// Perf, when non-nil, collects kernel performance introspection for
-	// the protocol run (radio.Engine.SetPerf). Strictly read-only.
+	// the protocol run (radio.Config.Perf). Strictly read-only.
 	Perf *radio.Perf
 	// TraceBatch, when non-nil, receives the protocol run's radio events
-	// in per-shard batches (radio.Engine.SetTraceBatch); copy events to
+	// in per-shard batches (radio.Config.TraceBatch); copy events to
 	// retain them.
 	TraceBatch func([]radio.Event)
 	// RecordRing > 0 bounds the recording to the last RecordRing radio
@@ -404,26 +403,36 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	}
 	res := &Result{Scenario: s, Stats: net.Stats()}
 
-	// Script-driven failure injection.
+	// Script-driven failure injection, checked against the network the
+	// script left: a fault on a node or link it lacks would be traced
+	// without touching the run.
 	o := broadcast.Options{
-		Channels: sp.Channels, Workers: workers,
-		LossRate: sp.LossRate, LossSeed: sp.LossSeed,
+		Config: radio.Config{
+			LossRate: sp.LossRate, LossSeed: sp.LossSeed,
+			TraceBatch: opts.TraceBatch, Perf: opts.Perf, Workers: workers,
+		},
+		Channels: sp.Channels, Obs: opts.Obs,
 		Runtime: runtime, Fleet: opts.Fleet,
-		Obs: opts.Obs, Perf: opts.Perf, TraceBatch: opts.TraceBatch,
 	}
 	for _, st := range s.Script {
 		switch st.Verb {
 		case VerbFail:
-			o.Failures = append(o.Failures, broadcast.NodeFailure{Node: st.Node, Round: st.Round})
+			if !net.Contains(st.Node) {
+				return nil, fmt.Errorf("scenario %s: fail %d: node not in the network after the script", s.Name(), st.Node)
+			}
+			o.Failures = append(o.Failures, radio.NodeFailure{Node: st.Node, Round: st.Round})
 		case VerbCut:
-			o.LinkFailures = append(o.LinkFailures, broadcast.LinkFailure{A: st.Node, B: st.Peer, Round: st.Round})
+			if !net.Graph().HasEdge(st.Node, st.Peer) {
+				return nil, fmt.Errorf("scenario %s: cut %d %d: not an edge of the network after the script", s.Name(), st.Node, st.Peer)
+			}
+			o.LinkFailures = append(o.LinkFailures, radio.LinkFailure{A: st.Node, B: st.Peer, Round: st.Round})
 		case VerbFailFrac:
 			horizon := 2 * (res.Stats.BackboneSize - 1)
 			if horizon < 1 {
 				horizon = 1
 			}
 			for _, f := range workload.FailureTrace(net.Graph(), net.Root(), st.Frac, horizon, sp.Seed*17) {
-				o.Failures = append(o.Failures, broadcast.NodeFailure{Node: f.Node, Round: f.Round})
+				o.Failures = append(o.Failures, radio.NodeFailure{Node: f.Node, Round: f.Round})
 			}
 		}
 	}
@@ -500,8 +509,9 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 }
 
 // runProtocol runs the spec's protocol — gather and discovery on their
-// own engines, everything else as the one broadcast plan — and maps its
-// metrics into the shared Measured shape.
+// own engines, everything else as the one broadcast plan — under the same
+// engine configuration, and maps its metrics into the shared Measured
+// shape.
 func runProtocol(net *core.Network, s *Scenario, o broadcast.Options) (Measured, error) {
 	sp := s.Spec
 	switch sp.protocol() {
@@ -510,11 +520,7 @@ func runProtocol(net *core.Network, s *Scenario, o broadcast.Options) (Measured,
 		for _, id := range net.CNet().Tree().Nodes() {
 			values[id] = int64(id) + 1
 		}
-		var gfails []gather.Failure
-		for _, f := range o.Failures {
-			gfails = append(gfails, gather.Failure{Node: f.Node, Round: f.Round})
-		}
-		gm, err := net.Gather(values, gather.Options{Failures: gfails, Workers: o.Workers, Trace: o.TraceBatch, Perf: o.Perf})
+		gm, err := net.Gather(values, o.Config)
 		if err != nil {
 			return Measured{}, err
 		}
@@ -536,7 +542,7 @@ func runProtocol(net *core.Network, s *Scenario, o broadcast.Options) (Measured,
 		if !net.Contains(joiner) {
 			return Measured{}, fmt.Errorf("scenario %s: joiner %d not in the network", s.Name(), joiner)
 		}
-		dr, err := discovery.Run(net.Graph(), joiner, discovery.Options{Seed: sp.Seed * 19, Workers: o.Workers})
+		dr, err := discovery.Run(net.Graph(), joiner, sp.Seed*19, o.Config)
 		if err != nil {
 			return Measured{}, err
 		}

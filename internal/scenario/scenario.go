@@ -399,8 +399,8 @@ func (s *Scenario) validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown runtime %q (kernel|dist)", sp.Runtime)
 	}
-	if !(sp.LossRate >= 0 && sp.LossRate <= 1) {
-		return fmt.Errorf("scenario: loss %v out of [0,1]", sp.LossRate)
+	if !(sp.LossRate >= 0 && sp.LossRate < 1) {
+		return fmt.Errorf("scenario: loss %v out of [0,1)", sp.LossRate)
 	}
 	if !(sp.Forward >= 0 && sp.Forward <= 1) {
 		return fmt.Errorf("scenario: forward %v out of [0,1]", sp.Forward)
@@ -432,38 +432,12 @@ func (s *Scenario) validate() error {
 	if traces > 1 {
 		return fmt.Errorf("scenario: at most one churn/mobility trace per scenario")
 	}
-	// Protocol-specific rules: reject spec/script combinations the target
-	// engine would silently ignore.
-	switch sp.protocol() {
-	case "pflood":
-		if !(sp.Forward > 0) {
-			return fmt.Errorf("scenario: pflood needs forward > 0")
-		}
-	case "gather":
-		if sp.LossRate != 0 {
-			return fmt.Errorf("scenario: gather does not model frame loss")
-		}
-		if s.hasVerb(VerbCut) {
-			return fmt.Errorf("scenario: gather does not model link cuts")
-		}
-	case "discovery":
-		if sp.LossRate != 0 || s.hasVerb(VerbCut) || s.hasVerb(VerbFail) || s.hasVerb(VerbFailFrac) {
-			return fmt.Errorf("scenario: discovery supports churn/mobility scripts only")
-		}
-		if s.GoldenTimeline != "" {
-			return fmt.Errorf("scenario: discovery runs are not traced; timeline goldens unsupported")
-		}
+	// Protocol-specific rules: reject spec combinations the protocol would
+	// silently ignore.
+	if sp.protocol() == "pflood" && !(sp.Forward > 0) {
+		return fmt.Errorf("scenario: pflood needs forward > 0")
 	}
 	return nil
-}
-
-func (s *Scenario) hasVerb(verb string) bool {
-	for _, st := range s.Script {
-		if st.Verb == verb {
-			return true
-		}
-	}
-	return false
 }
 
 // Format renders the scenario in canonical form: spec keys in fixed order

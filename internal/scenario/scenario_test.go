@@ -143,13 +143,11 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		"duplicate section":  "-- spec --\nn = 4\nside = 8\n-- spec --\nn = 5\n",
 		"NaN loss":           "-- spec --\nn = 4\nside = 8\nloss = NaN\n",
 		"loss out of range":  "-- spec --\nn = 4\nside = 8\nloss = 1.5\n",
+		"loss one":           "-- spec --\nn = 4\nside = 8\nloss = 1\n",
 		"grid churn":         "-- spec --\nn = 4\nside = 8\ndeploy = grid\n-- script --\nchurn 3 0.5\n",
 		"two traces":         "-- spec --\nn = 4\nside = 8\n-- script --\nchurn 3 0.5\nmobility 2 0.1\n",
 		"fail round zero":    "-- spec --\nn = 4\nside = 8\n-- script --\nfail 1 0\n",
 		"pflood no forward":  "-- spec --\nn = 4\nside = 8\nprotocol = pflood\n",
-		"gather with loss":   "-- spec --\nn = 4\nside = 8\nprotocol = gather\nloss = 0.1\n",
-		"discovery failfrac": "-- spec --\nn = 4\nside = 8\nprotocol = discovery\n-- script --\nfailfrac 0.1\n",
-		"discovery timeline": "-- spec --\nn = 4\nside = 8\nprotocol = discovery\n-- timeline --\nr1 tx=1\n",
 		"bad script verb":    "-- spec --\nn = 4\nside = 8\n-- script --\nwarp 1\n",
 		"bad assertion":      "-- spec --\nn = 4\nside = 8\n-- assert --\nwarp <= 9\n",
 		"NaN churn frac":     "-- spec --\nn = 4\nside = 8\n-- script --\nchurn 3 NaN\n",
@@ -285,7 +283,7 @@ loss = 0.1
 loss-seed = 5
 -- script --
 fail 7 3
-cut 2 5 4
+cut 2 6 4
 -- assert --
 delivery-ratio >= 0.8
 `)
@@ -311,6 +309,23 @@ delivery-ratio >= 0.8
 		}
 		if !bytes.Equal(res.Recording, base.Recording) {
 			t.Errorf("recording differs under dist: %d vs %d bytes", len(res.Recording), len(base.Recording))
+		}
+	}
+}
+
+// TestRunRejectsFaultsOffTheNetwork checks that a scripted fail must name
+// a node, and a cut an edge, of the network the script left — for every
+// protocol — instead of being traced without touching the run.
+func TestRunRejectsFaultsOffTheNetwork(t *testing.T) {
+	for _, proto := range []string{"icff", "gather", "discovery"} {
+		for _, fault := range []string{"fail 9999 2", "cut 0 59 1"} {
+			s, err := Parse([]byte("-- spec --\nn = 60\nside = 8\nseed = 6\nprotocol = " + proto + "\n-- script --\n" + fault + "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(s, RunOptions{}); err == nil || !strings.Contains(err.Error(), "after the script") {
+				t.Errorf("%s with %q: Run error = %v, want a fault-target error", proto, fault, err)
+			}
 		}
 	}
 }

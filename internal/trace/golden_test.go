@@ -9,6 +9,7 @@ import (
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/cnet"
+	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 	"dynsens/internal/trace"
 	"dynsens/internal/workload"
@@ -56,10 +57,12 @@ func TestTimelineGolden(t *testing.T) {
 	rec := trace.NewRecorder(0)
 	var victim = c.Tree().Nodes()[len(c.Tree().Nodes())-1]
 	_, err = broadcast.RunICFF(a, c.Root(), broadcast.Options{
-		TraceBatch: rec.BatchHook(),
-		Failures:   []broadcast.NodeFailure{{Node: victim, Round: 2}},
-		LossRate:   0.15,
-		LossSeed:   7,
+		Config: radio.Config{
+			TraceBatch: rec.BatchHook(),
+			Failures:   []broadcast.NodeFailure{{Node: victim, Round: 2}},
+			LossRate:   0.15,
+			LossSeed:   7,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +91,7 @@ func TestTimelineDroppedGolden(t *testing.T) {
 	a := timeslot.New(c, timeslot.ConditionStrict)
 
 	rec := trace.NewRecorder(10)
-	if _, err := broadcast.RunICFF(a, c.Root(), broadcast.Options{TraceBatch: rec.BatchHook()}); err != nil {
+	if _, err := broadcast.RunICFF(a, c.Root(), broadcast.Options{Config: radio.Config{TraceBatch: rec.BatchHook()}}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Dropped() == 0 {

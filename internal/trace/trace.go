@@ -7,7 +7,7 @@
 // a single goroutine (the kernel's serial stitch steps between phases)
 // regardless of its worker count, and
 // the event stream — Seq numbers included — is byte-identical at any
-// radio.Engine.SetWorkers value.
+// radio.Config.Workers value.
 package trace
 
 import (
@@ -50,8 +50,8 @@ func (r *Recorder) Instrument(reg *obs.Registry) {
 		"Radio events dropped by a bounded trace recorder.")
 }
 
-// BatchHook returns the callback to install with Engine.SetTraceBatch or
-// broadcast.Options.TraceBatch: one call per shard buffer per phase per
+// BatchHook returns the callback to install as radio.Config.TraceBatch
+// (which broadcast.Options embeds): one call per shard buffer per phase per
 // round. The engine reuses the batch slice between calls, so the events
 // are copied into the recorder's own storage here.
 func (r *Recorder) BatchHook() func([]radio.Event) {

@@ -20,7 +20,7 @@ func TestRecorderCollectsBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(0)
-	m, err := net.Broadcast(net.Root(), broadcast.Options{TraceBatch: rec.BatchHook()})
+	m, err := net.Broadcast(net.Root(), broadcast.Options{Config: radio.Config{TraceBatch: rec.BatchHook()}})
 	if err != nil || !m.Completed {
 		t.Fatalf("broadcast: %v %s", err, m)
 	}

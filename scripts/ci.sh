@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: formatting, vet, build, race-enabled tests with a coverage floor
-# (scripts/coverage_baseline.txt), a short fuzz smoke, the dynlint static
-# analyzer (docs/static-analysis.md), and a single-iteration benchmark
-# smoke (docs/performance.md). Run from anywhere inside the repository; any
+# (scripts/coverage_baseline.txt), a short fuzz smoke, the benchmark pins
+# (_benchmark/digests.json), the dynlint static analyzer
+# (docs/static-analysis.md), and a single-iteration benchmark smoke
+# (docs/performance.md). Run from anywhere inside the repository; any
 # failure fails the build.
 set -eu
 
@@ -53,14 +54,21 @@ echo "== engine equivalence (workers matrix)"
 # and the EngineWorkers pattern pulls in TestEngineWorkersLargeSmoke —
 # the fast n=200k sparse run that exercises the parallel deliver phase,
 # counter RNG streams and Seq stitch at scale under the race detector.
+# -count=1: the go test cache ignores GOMAXPROCS, so without it the
+# second schedule would replay the first one's cached results.
 for procs in 1 4; do
     echo "-- GOMAXPROCS=$procs"
-    GOMAXPROCS="$procs" go test -race -run 'EngineEquivalence|EngineWorkers|RunByteIdentical' \
+    GOMAXPROCS="$procs" go test -race -count=1 -run 'EngineEquivalence|EngineWorkers|RunByteIdentical' \
         ./internal/radio ./internal/broadcast
+    # The distributed runtime's kernel-equivalence suites: the coordinator
+    # drives remote nodes from the same round loop, so its event streams
+    # must match the kernel's under both schedules too.
+    GOMAXPROCS="$procs" go test -race -count=1 -run 'DistMatchesKernel|DistRuntime|NemesisPartition' \
+        ./internal/dist ./internal/broadcast
     # The scenario corpus re-runs every .dsn (testdata + examples) through
     # the live stack with record/replay self-verification — end-to-end
     # determinism under both schedules (docs/scenarios.md).
-    GOMAXPROCS="$procs" go test -race -run 'TestScenarioCorpus|TestScenarioWorkerDeterminism' \
+    GOMAXPROCS="$procs" go test -race -count=1 -run 'TestScenarioCorpus|TestScenarioWorkerDeterminism' \
         ./internal/scenario
 done
 
@@ -165,6 +173,32 @@ cmp "$replay_dir/dist_kernel.dsfr" "$replay_dir/dist_local_w4.dsfr"
 cmp "$replay_dir/dist_kernel.dsfr" "$replay_dir/dist_proc.dsfr"
 "$replay_dir/nettool" scenario verify "$dist_dsn" "$replay_dir/dist_proc.dsfr" > /dev/null
 echo "kernel / goroutine-fleet (1 and 4 workers) / process-fleet recordings byte-identical"
+
+echo "== benchmark pins"
+# The benchmark (_benchmark/) is its own module, which go build ./... skips,
+# yet it builds against this module's API. Build, vet and test it with
+# _benchmark/run.sh's environment, then run every workload briefly at the
+# pinned seeds: each must report "matches the pin" against
+# _benchmark/digests.json and a correct run.
+(
+    cd _benchmark
+    export GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
+    go build -o "$replay_dir/dynbench" .
+    go vet .
+    go test .
+)
+for workload in construct broadcast churn dist; do
+    for seed in 1 97; do
+        out="$replay_dir/bench_${workload}_${seed}.txt"
+        "$replay_dir/dynbench" --workload "$workload" --seed "$seed" --seconds 0.1 --trace 0 > "$out"
+        if ! grep -q 'matches the pin' "$out" || ! grep -q '"correct":true' "$out"; then
+            echo "benchmark workload $workload seed $seed lost its pin or its correctness:" >&2
+            cat "$out" >&2
+            exit 1
+        fi
+    done
+done
+echo "benchmark builds, vets, tests, and all 8 pinned digests match"
 
 echo "== dynlint"
 # All analyzers, the contract checkers (progpurity/shardsafe/hotalloc)
