@@ -459,3 +459,47 @@ func TestMoveOutProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMoveOutRejectsExactlyCutVertices checks MoveOut's local connectivity
+// search against the graph's articulation points: on seeded connected
+// unit-disk networks, sparse and dense, MoveOut(v) on a clone fails
+// exactly when v is a cut vertex of G, and a refused call leaves the
+// clone's size, structure and edge count as they were.
+func TestMoveOutRejectsExactlyCutVertices(t *testing.T) {
+	refused, done := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		side := 4 + 4*int(seed%2)
+		d, err := workload.IncrementalConnected(workload.PaperConfig(seed, side, 60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := BuildFromGraph(d.Graph(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := c.Graph().ArticulationPoints()
+		for _, v := range c.Graph().Nodes() {
+			cl := c.Clone()
+			size, edges := cl.Size(), cl.Graph().NumEdges()
+			_, _, err := cl.MoveOut(v)
+			if (err != nil) != cut[v] {
+				t.Fatalf("seed %d: MoveOut(%d) error %v, cut vertex %v", seed, v, err, cut[v])
+			}
+			if err == nil {
+				done++
+				continue
+			}
+			refused++
+			if cl.Size() != size || cl.Graph().NumEdges() != edges {
+				t.Fatalf("seed %d: refused MoveOut(%d) changed size %d->%d, edges %d->%d",
+					seed, v, size, cl.Size(), edges, cl.Graph().NumEdges())
+			}
+			if err := cl.Verify(); err != nil {
+				t.Fatalf("seed %d: refused MoveOut(%d): %v", seed, v, err)
+			}
+		}
+	}
+	if refused == 0 || done == 0 {
+		t.Fatalf("refused %d and completed %d move-outs: both outcomes must occur", refused, done)
+	}
+}

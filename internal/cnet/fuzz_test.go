@@ -17,13 +17,13 @@ func FuzzChurn(f *testing.F) {
 	f.Add([]byte{10, 20, 30, 0x90, 0x91, 40, 50, 0x92, 0x93, 0x94})
 	f.Add([]byte{1, 1, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
 		c := cnet.New(0, nil)
 		a := timeslot.New(c, timeslot.ConditionStrict)
 		next := graph.NodeID(1)
 		for _, op := range ops {
-			if len(ops) > 64 {
-				ops = ops[:64]
-			}
 			if op < 0x80 || c.Size() <= 2 {
 				// Join: anchor selected by op among current nodes, plus
 				// every neighbor of the anchor to keep degrees growing.

@@ -12,6 +12,9 @@ import (
 type MoveOutRecord struct {
 	// Removed is the departed node (the paper's lev).
 	Removed graph.NodeID
+	// Parent is lev's CNet parent at departure; unset when lev was the
+	// root.
+	Parent graph.NodeID
 	// Neighbors are the g-neighbors lev had at departure.
 	Neighbors []graph.NodeID
 	// Reinserted lists the nodes of the detached subtree T \ {lev} in the
@@ -43,15 +46,14 @@ func (c *CNet) MoveOut(lev graph.NodeID) (MoveOutRecord, OpCost, error) {
 	if c.Size() == 1 {
 		return MoveOutRecord{}, OpCost{}, fmt.Errorf("cnet: refusing to remove the last node %d", lev)
 	}
-	residual := c.g.Clone()
-	residual.RemoveNode(lev)
-	if !residual.Connected() {
+	if c.disconnects(lev) {
 		return MoveOutRecord{}, OpCost{}, fmt.Errorf("cnet: removing %d disconnects the network", lev)
 	}
 
 	// Copy the adjacency out of the graph's shared neighbor cache: the
 	// record outlives the removal below.
 	rec := MoveOutRecord{Removed: lev, Neighbors: append([]graph.NodeID(nil), c.g.Neighbors(lev)...)}
+	rec.Parent, _ = c.tree.Parent(lev)
 	var cost OpCost
 
 	if lev == c.tree.Root() {
@@ -109,6 +111,38 @@ func (c *CNet) MoveOut(lev graph.NodeID) (MoveOutRecord, OpCost, error) {
 	}
 	c.countMoveOut(rec)
 	return rec, cost, nil
+}
+
+// disconnects reports whether removing lev splits G. G is connected at
+// every operation boundary (MoveIn requires a neighbor, MoveOut refuses to
+// disconnect, RemoveCrashed drops unreachable survivors), so every node of
+// G-lev reaches some neighbor of lev without passing through lev, and G-lev
+// is connected exactly when lev's neighbors reach each other in it. The
+// search starts at one neighbor, never enters lev, and stops once it has
+// met all the others, so a removable node costs its surroundings, not n.
+func (c *CNet) disconnects(lev graph.NodeID) bool {
+	nbrs := c.g.Neighbors(lev)
+	if len(nbrs) < 2 {
+		return false
+	}
+	unmet := len(nbrs) - 1
+	seen := map[graph.NodeID]struct{}{lev: {}, nbrs[0]: {}}
+	queue := []graph.NodeID{nbrs[0]}
+	for head := 0; head < len(queue); head++ {
+		for _, v := range c.g.Neighbors(queue[head]) {
+			if _, ok := seen[v]; ok {
+				continue
+			}
+			seen[v] = struct{}{}
+			if c.g.HasEdge(v, lev) {
+				if unmet--; unmet == 0 {
+					return false
+				}
+			}
+			queue = append(queue, v)
+		}
+	}
+	return true
 }
 
 // moveOutRoot handles departure of the sink: a replacement root is elected

@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzTreeOps drives a Tree through arbitrary add-leaf / remove-leaf /
 // remove-subtree sequences decoded from fuzz bytes, validating structure
-// after every mutation and checking Euler-tour and depth invariants.
+// after every mutation and checking Euler-tour and depth invariants, the
+// depths against paths to the root, on the tree and on a mutated clone.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0xF0, 3, 0xE0})
 	f.Add([]byte{5, 5, 5, 5, 0xF1, 0xF2})
@@ -35,6 +36,7 @@ func FuzzTreeOps(f *testing.F) {
 				if err := tr.RemoveLeaf(victim); err != nil {
 					t.Fatalf("RemoveLeaf: %v", err)
 				}
+				checkDepths(t, tr, victim)
 			default:
 				nodes := tr.Nodes()
 				victim := nodes[int(op)%len(nodes)]
@@ -44,6 +46,7 @@ func FuzzTreeOps(f *testing.F) {
 				if _, err := tr.RemoveSubtree(victim); err != nil {
 					t.Fatalf("RemoveSubtree: %v", err)
 				}
+				checkDepths(t, tr, victim)
 			}
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
@@ -53,16 +56,60 @@ func FuzzTreeOps(f *testing.F) {
 			if len(tour) != 2*(tr.Size()-1)+1 {
 				t.Fatalf("tour length %d for size %d", len(tour), tr.Size())
 			}
-			// DepthMap consistent with Height.
-			maxD := 0
-			for _, d := range tr.DepthMap() {
-				if d > maxD {
-					maxD = d
+			checkDepths(t, tr, next)
+			// A clone's mutations leave the original's depths alone: hang
+			// a chain under the clone's deepest node, then cut the root's
+			// first child away.
+			want := tr.Height()
+			cl := tr.Clone()
+			deepest := tr.Root()
+			for _, id := range tr.Nodes() {
+				if tr.Depth(id) > tr.Depth(deepest) {
+					deepest = id
 				}
 			}
-			if maxD != tr.Height() {
-				t.Fatalf("height %d vs max depth %d", tr.Height(), maxD)
+			if err := cl.AddChild(next, deepest); err != nil {
+				t.Fatalf("clone AddChild: %v", err)
 			}
+			if err := cl.AddChild(next+1, next); err != nil {
+				t.Fatalf("clone AddChild: %v", err)
+			}
+			if ch := cl.Children(cl.Root()); len(ch) > 0 {
+				if _, err := cl.RemoveSubtree(ch[0]); err != nil {
+					t.Fatalf("clone RemoveSubtree: %v", err)
+				}
+			}
+			checkDepths(t, cl, next+2)
+			if tr.Height() != want {
+				t.Fatalf("clone mutation moved the original's height %d to %d", want, tr.Height())
+			}
+			checkDepths(t, tr, next)
 		}
 	})
+}
+
+// checkDepths checks the stored depths against an independent oracle:
+// every node's Depth and DepthMap entry is its path length to the root,
+// Height is the largest of them, and absent (an ID not in the tree) has
+// depth -1.
+func checkDepths(t *testing.T, tr *Tree, absent NodeID) {
+	t.Helper()
+	depths := tr.DepthMap()
+	if len(depths) != tr.Size() {
+		t.Fatalf("DepthMap holds %d nodes, tree %d", len(depths), tr.Size())
+	}
+	maxD := 0
+	for _, id := range tr.Nodes() {
+		want := len(tr.PathToRoot(id)) - 1
+		if tr.Depth(id) != want || depths[id] != want {
+			t.Fatalf("node %d: Depth %d, DepthMap %d, path to root %d", id, tr.Depth(id), depths[id], want)
+		}
+		maxD = max(maxD, want)
+	}
+	if tr.Height() != maxD {
+		t.Fatalf("height %d vs max depth %d", tr.Height(), maxD)
+	}
+	if d := tr.Depth(absent); d != -1 {
+		t.Fatalf("absent node %d has depth %d", absent, d)
+	}
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -12,8 +14,13 @@ type Tree struct {
 	parent   map[NodeID]NodeID
 	children map[NodeID]map[NodeID]struct{}
 
-	// depthCache memoizes DepthMap between mutations; nil means stale.
-	depthCache map[NodeID]int
+	// depth holds every node's depth, stored when the node is attached (a
+	// node's depth never changes while it stays in the tree), and
+	// perDepth[d] counts the nodes at depth d, so Height is its last
+	// index. The mutations update both for the nodes they attach or
+	// detach; Depth, DepthMap and Height never rebuild them.
+	depth    map[NodeID]int
+	perDepth []int
 	// childCache memoizes each node's sorted child slice, dropped per-node
 	// on mutation; traversals (Subtree, EulerTour, broadcast schedules)
 	// read it allocation-free.
@@ -26,6 +33,8 @@ func NewTree(root NodeID) *Tree {
 		root:     root,
 		parent:   make(map[NodeID]NodeID),
 		children: make(map[NodeID]map[NodeID]struct{}),
+		depth:    map[NodeID]int{root: 0},
+		perDepth: []int{1},
 	}
 	t.children[root] = make(map[NodeID]struct{})
 	return t
@@ -55,9 +64,23 @@ func (t *Tree) AddChild(id, parent NodeID) error {
 	t.parent[id] = parent
 	t.children[id] = make(map[NodeID]struct{})
 	t.children[parent][id] = struct{}{}
-	t.depthCache = nil
+	d := t.depth[parent] + 1
+	t.depth[id] = d
+	if d == len(t.perDepth) {
+		t.perDepth = append(t.perDepth, 0)
+	}
+	t.perDepth[d]++
 	delete(t.childCache, parent)
 	return nil
+}
+
+// forget drops id's stored depth; the caller detaches id itself.
+func (t *Tree) forget(id NodeID) {
+	t.perDepth[t.depth[id]]--
+	delete(t.depth, id)
+	for t.perDepth[len(t.perDepth)-1] == 0 {
+		t.perDepth = t.perDepth[:len(t.perDepth)-1]
+	}
 }
 
 // RemoveLeaf detaches a childless non-root node. It fails otherwise.
@@ -75,7 +98,7 @@ func (t *Tree) RemoveLeaf(id NodeID) error {
 	delete(t.children[p], id)
 	delete(t.parent, id)
 	delete(t.children, id)
-	t.depthCache = nil
+	t.forget(id)
 	delete(t.childCache, p)
 	delete(t.childCache, id)
 	return nil
@@ -99,8 +122,8 @@ func (t *Tree) RemoveSubtree(id NodeID) ([]NodeID, error) {
 		delete(t.parent, n)
 		delete(t.children, n)
 		delete(t.childCache, n)
+		t.forget(n)
 	}
-	t.depthCache = nil
 	delete(t.childCache, p)
 	return nodes, nil
 }
@@ -167,50 +190,20 @@ func (t *Tree) Leaves() []NodeID {
 // Depth returns the number of edges from the root to id, or -1 if absent.
 // The root has depth 0 (the paper's "null" depth).
 func (t *Tree) Depth(id NodeID) int {
-	if !t.Contains(id) {
-		return -1
+	if d, ok := t.depth[id]; ok {
+		return d
 	}
-	d := 0
-	for id != t.root {
-		id = t.parent[id]
-		d++
-	}
-	return d
+	return -1
 }
 
-// DepthMap returns the depth of every node. The result is memoized between
-// mutations; callers must not modify it.
-func (t *Tree) DepthMap() map[NodeID]int {
-	if t.depthCache != nil {
-		return t.depthCache
-	}
-	depth := make(map[NodeID]int, len(t.children))
-	// Preorder from root, children ascending, so traversal is deterministic.
-	stack := []NodeID{t.root}
-	depth[t.root] = 0
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range t.Children(u) {
-			depth[c] = depth[u] + 1
-			stack = append(stack, c)
-		}
-	}
-	t.depthCache = depth
-	return depth
-}
+// DepthMap returns the depth of every node. The result is the tree's own
+// live map: callers must not modify it, and it changes as the tree does,
+// so read it within one call rather than hold it across a mutation.
+func (t *Tree) DepthMap() map[NodeID]int { return t.depth }
 
 // Height returns the maximum depth over all nodes (0 for a single node).
 // This is the paper's h when applied to CNet(G) or BT(G).
-func (t *Tree) Height() int {
-	h := 0
-	for _, d := range t.DepthMap() {
-		if d > h {
-			h = d
-		}
-	}
-	return h
-}
+func (t *Tree) Height() int { return len(t.perDepth) - 1 }
 
 // SubtreeHeight returns the height of the subtree rooted at id (0 if id is
 // a leaf), or -1 if id is absent.
@@ -241,7 +234,12 @@ func (t *Tree) Subtree(id NodeID) []NodeID {
 	if !t.Contains(id) {
 		return nil
 	}
-	out := make([]NodeID, 0, t.Size())
+	// Presize only the whole tree: a subtree below the root grows as it is
+	// walked, so listing a small subtree costs its size, not the tree's.
+	var out []NodeID
+	if id == t.root {
+		out = make([]NodeID, 0, t.Size())
+	}
 	var walk func(NodeID)
 	walk = func(u NodeID) {
 		out = append(out, u)
@@ -307,6 +305,8 @@ func (t *Tree) Clone() *Tree {
 		root:     t.root,
 		parent:   make(map[NodeID]NodeID, len(t.parent)),
 		children: make(map[NodeID]map[NodeID]struct{}, len(t.children)),
+		depth:    maps.Clone(t.depth),
+		perDepth: slices.Clone(t.perDepth),
 	}
 	for k, v := range t.parent {
 		c.parent[k] = v

@@ -29,6 +29,7 @@ package timeslot
 
 import (
 	"fmt"
+	"slices"
 
 	"dynsens/internal/cnet"
 	"dynsens/internal/graph"
@@ -60,6 +61,9 @@ const (
 	U
 )
 
+// kinds lists every slot family in the order repair visits them.
+var kinds = [...]Kind{B, L, U}
+
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
@@ -87,6 +91,10 @@ type Assignment struct {
 	rounds int
 	// recalcs counts slot recalculations.
 	recalcs int
+
+	// dirty holds each kind's receivers whose condition may have changed
+	// since repair last checked it (see dirtySet), indexed by Kind.
+	dirty [len(kinds)]dirtySet
 
 	// Scratch buffers reused across hot-path queries so steady-state
 	// condition checks (Designated, Verify, the broadcast planners via
@@ -375,6 +383,7 @@ func (a *Assignment) calculate(k Kind, y graph.NodeID) {
 	a.slot[k][y] = s
 	a.rounds += 1 + len(aud)
 	a.recalcs++
+	a.markAround(k, y)
 }
 
 // ensure assigns a slot to y if it transmits in kind k and lacks one, and
@@ -389,18 +398,99 @@ func (a *Assignment) ensure(k Kind, y graph.NodeID) {
 	}
 }
 
-// repair re-establishes the conditions for every receiver by recalculating
-// the slots of offending transmitters until a fixpoint. Procedure 1's
-// post-condition guarantees each recalculation fixes all of its audience
-// without breaking receivers outside it, so the loop converges; the bound
-// guards against bugs.
+// --- repair -----------------------------------------------------------------
+
+// dirtySet is one kind's worklist for repair: the receivers whose condition
+// may have changed since repair last checked them. A receiver's condition
+// reads only its own depth and status and its neighbors' presence, depth,
+// transmitter role and slot, so whoever changes one of these for node y
+// marks N[y], y's closed neighborhood in G. Every unmarked receiver still
+// holds.
+//
+// A repair pass checks its receivers in ascending ID order; a receiver
+// marked while it runs joins that pass if its ID lies above the one being
+// checked, and the next pass otherwise. A scan of every receiver per pass
+// meets the violated receivers in exactly this order, so both make the
+// same recalculations.
+type dirtySet struct {
+	// pass holds the running pass's receivers, ascending and distinct;
+	// pop has handed out pass[:checked]. next collects the receivers of
+	// the following pass, in any order and possibly repeated.
+	pass, next []graph.NodeID
+	checked    int
+}
+
+// mark queues v for the running pass or, at or below the receiver being
+// checked, for the next one.
+func (d *dirtySet) mark(v graph.NodeID) {
+	if d.checked == 0 || v <= d.pass[d.checked-1] {
+		d.next = append(d.next, v)
+	} else if i, found := slices.BinarySearch(d.pass[d.checked:], v); !found {
+		d.pass = slices.Insert(d.pass, d.checked+i, v)
+	}
+}
+
+// begin starts a pass over the receivers marked for it.
+func (d *dirtySet) begin() {
+	slices.Sort(d.next)
+	d.pass, d.next = slices.Compact(d.next), d.pass[:0]
+}
+
+// pop returns the pass's next receiver, or false when the pass is over.
+func (d *dirtySet) pop() (graph.NodeID, bool) {
+	if d.checked == len(d.pass) {
+		d.pass, d.checked = d.pass[:0], 0
+		return 0, false
+	}
+	d.checked++
+	return d.pass[d.checked-1], true
+}
+
+// abort ends the pass at the receiver pop last returned, keeping it and the
+// unchecked ones for the next repair.
+func (d *dirtySet) abort() {
+	d.next = append(d.next, d.pass[d.checked-1:]...)
+	d.pass, d.checked = d.pass[:0], 0
+}
+
+// markAround marks N[y] dirty for kind k.
+func (a *Assignment) markAround(k Kind, y graph.NodeID) {
+	d := &a.dirty[k]
+	d.mark(y)
+	for _, v := range a.net.Graph().Neighbors(y) {
+		d.mark(v)
+	}
+}
+
+// changed marks N[y] dirty for every kind: y's presence, depth, status or
+// transmitter roles changed.
+func (a *Assignment) changed(y graph.NodeID) {
+	for _, k := range kinds {
+		a.markAround(k, y)
+	}
+}
+
+// markAll marks every node dirty for every kind.
+func (a *Assignment) markAll() {
+	nodes := a.net.Tree().Nodes()
+	for k := range a.dirty {
+		a.dirty[k].next = append(a.dirty[k].next[:0], nodes...)
+	}
+}
+
+// repair re-establishes the conditions of the dirty receivers by
+// recalculating the slots of offending transmitters until a fixpoint.
+// Procedure 1's post-condition guarantees each recalculation fixes all of
+// its audience without breaking receivers outside it, so the loop
+// converges; the bound guards against bugs.
 func (a *Assignment) repair() error {
-	kinds := []Kind{B, L, U}
 	limit := 3*a.net.Size() + 10
 	for iter := 0; iter < limit; iter++ {
 		fixed := false
 		for _, k := range kinds {
-			for _, v := range a.net.Tree().Nodes() {
+			d := &a.dirty[k]
+			d.begin()
+			for v, ok := d.pop(); ok; v, ok = d.pop() {
 				if !a.IsReceiver(k, v) || a.conditionHolds(k, v) {
 					continue
 				}
@@ -408,6 +498,7 @@ func (a *Assignment) repair() error {
 				// first transmitter v hears.
 				set := a.InterferenceSet(k, v)
 				if len(set) == 0 {
+					d.abort()
 					return fmt.Errorf("timeslot: receiver %d hears no %v transmitter", v, k)
 				}
 				target := set[0]
@@ -431,23 +522,31 @@ func (a *Assignment) repair() error {
 }
 
 // AssignAll recomputes every slot from scratch: transmitters are processed
-// in BFS order (top-down) with Procedure 1, then conditions are verified
-// and repaired. Use after bulk construction or a root rebuild.
+// in BFS order (top-down) with Procedure 1, then every receiver's
+// condition is checked and repaired. Use after bulk construction or a root
+// rebuild.
 func (a *Assignment) AssignAll() {
-	for _, k := range []Kind{B, L, U} {
+	a.assignTopDown()
+	a.markAll()
+	if err := a.repair(); err != nil {
+		//lint:ignore dynlint/panics Procedure 1's post-condition (Lemma 2) makes repair converge on any valid CNet; failure is a bug, not an input error
+		panic(err)
+	}
+}
+
+// assignTopDown drops every slot and runs Procedure 1 for every
+// transmitter, parents before children.
+func (a *Assignment) assignTopDown() {
+	for _, k := range kinds {
 		a.slot[k] = make(map[graph.NodeID]int)
 	}
 	tr := a.net.Tree()
 	for _, id := range tr.Subtree(tr.Root()) { // preorder: parents first
-		for _, k := range []Kind{B, L, U} {
+		for _, k := range kinds {
 			if a.IsTransmitter(k, id) {
 				a.calculate(k, id)
 			}
 		}
-	}
-	if err := a.repair(); err != nil {
-		//lint:ignore dynlint/panics Procedure 1's post-condition (Lemma 2) makes repair converge on any valid CNet; failure is a bug, not an input error
-		panic(err)
 	}
 }
 
@@ -457,55 +556,91 @@ func (a *Assignment) AssignAll() {
 // node, the grandparent) recalculates per Procedure 1, followed by a
 // repair pass for the corner cases the paper's case analysis leaves open.
 func (a *Assignment) OnJoin(id graph.NodeID) error {
+	if err := a.join(id); err != nil {
+		return err
+	}
+	return a.repair()
+}
+
+// join is OnJoin up to its repair. The move-in added id, gave its parent a
+// child and may have promoted the parent from member to gateway, which
+// changes the grandparent's child roles: all three changed.
+func (a *Assignment) join(id graph.NodeID) error {
 	tr := a.net.Tree()
 	if !tr.Contains(id) {
 		return fmt.Errorf("timeslot: OnJoin for unknown node %d", id)
 	}
+	a.changed(id)
 	w, hasParent := tr.Parent(id)
 	if hasParent {
+		a.changed(w)
 		// The parent may have gained a transmitter role (leaf -> internal,
 		// or first member child / first backbone child).
-		for _, k := range []Kind{B, L, U} {
+		for _, k := range kinds {
 			a.ensure(k, w)
 		}
 		// A promoted member (now gateway) must newly satisfy the backbone
 		// receive condition; the grandparent may need a b-slot for that.
 		if gp, ok := tr.Parent(w); ok {
-			for _, k := range []Kind{B, L, U} {
+			a.changed(gp)
+			for _, k := range kinds {
 				a.ensure(k, gp)
 			}
 		}
 	}
 	// Algorithm 3's check: can the new leaf hear a unique slot?
-	for _, k := range []Kind{B, L, U} {
+	for _, k := range kinds {
 		if a.IsReceiver(k, id) && !a.conditionHolds(k, id) && hasParent {
 			a.calculate(k, w)
 		}
 	}
-	return a.repair()
+	return nil
 }
 
 // OnMoveOut updates slots after node-move-out (Section 5.2 Step 0/3): the
 // departed node's slots are dropped, re-inserted nodes are replayed through
-// OnJoin in their re-insertion order, stale transmitter slots are cleared,
-// and the conditions are repaired — mirroring the paper's recalculation of
-// the P(x) sets along the Euler tour.
+// OnJoin in their re-insertion order, slots are given to or taken from the
+// nodes whose transmitter role changed, and the conditions are repaired —
+// mirroring the paper's recalculation of the P(x) sets along the Euler
+// tour.
 func (a *Assignment) OnMoveOut(rec cnet.MoveOutRecord) error {
 	if rec.RootChanged {
 		// The structure was rebuilt from a new sink; start over.
 		a.AssignAll()
 		return nil
 	}
-	for _, k := range []Kind{B, L, U} {
+	for _, k := range kinds {
 		delete(a.slot[k], rec.Removed)
 		for _, x := range rec.Reinserted {
 			delete(a.slot[k], x)
 		}
 	}
-	// Clear slots of nodes that lost their transmitter role (e.g. a head
-	// whose only member left) and assign to nodes that gained one.
-	for _, id := range a.net.Tree().Nodes() {
-		for _, k := range []Kind{B, L, U} {
+	// What changed: lev's neighbors lost a neighbor, lev's parent lost a
+	// child, and each re-inserted node, its new parent and grandparent
+	// changed as in join. Of these, only lev's parent and the re-insertion
+	// chains can have gained or lost a transmitter role (e.g. a head whose
+	// only member left), so they alone get ensure, in ascending order as
+	// a pass over every node would reach them: ensure is a no-op elsewhere.
+	for _, v := range rec.Neighbors {
+		for k := range a.dirty {
+			a.dirty[k].mark(v)
+		}
+	}
+	tr := a.net.Tree()
+	touched := []graph.NodeID{rec.Parent}
+	for _, x := range rec.Reinserted {
+		touched = append(touched, x)
+		if w, ok := tr.Parent(x); ok {
+			touched = append(touched, w)
+			if gp, ok := tr.Parent(w); ok {
+				touched = append(touched, gp)
+			}
+		}
+	}
+	slices.Sort(touched)
+	for _, id := range slices.Compact(touched) {
+		a.changed(id)
+		for _, k := range kinds {
 			a.ensure(k, id)
 		}
 	}
@@ -519,14 +654,15 @@ func (a *Assignment) OnMoveOut(rec cnet.MoveOutRecord) error {
 
 // OnCrash updates slots after a non-graceful repair (cnet.RemoveCrashed):
 // entries of departed nodes are purged, re-attached orphans replayed, and
-// the conditions repaired. A replaced sink triggers a full reassignment.
+// the conditions of every receiver repaired. A replaced sink triggers a
+// full reassignment.
 func (a *Assignment) OnCrash(rec cnet.CrashRecord) error {
 	if rec.RootReplaced {
 		a.AssignAll()
 		return nil
 	}
 	tr := a.net.Tree()
-	for _, k := range []Kind{B, L, U} {
+	for _, k := range kinds {
 		for id := range a.slot[k] {
 			if !tr.Contains(id) {
 				delete(a.slot[k], id)
@@ -534,10 +670,11 @@ func (a *Assignment) OnCrash(rec cnet.CrashRecord) error {
 		}
 	}
 	for _, id := range tr.Nodes() {
-		for _, k := range []Kind{B, L, U} {
+		for _, k := range kinds {
 			a.ensure(k, id)
 		}
 	}
+	a.markAll()
 	for _, x := range rec.Reinserted {
 		if err := a.OnJoin(x); err != nil {
 			return err
@@ -549,7 +686,7 @@ func (a *Assignment) OnCrash(rec cnet.CrashRecord) error {
 // Verify checks that every receiver of every kind satisfies its condition,
 // that only transmitters hold slots, and that all slots are positive.
 func (a *Assignment) Verify() error {
-	for _, k := range []Kind{B, L, U} {
+	for _, k := range kinds {
 		for id, s := range a.slot[k] {
 			if s <= 0 {
 				return fmt.Errorf("timeslot: %v of %d is %d", k, id, s)
@@ -603,7 +740,7 @@ func kindLabel(k Kind) string {
 // bounds, plus accumulated maintenance cost, as gauges in reg — the live
 // view of how close a deployment runs to the paper's worst case.
 func (a *Assignment) Record(reg *obs.Registry) {
-	for _, k := range []Kind{B, L, U} {
+	for _, k := range kinds {
 		lbl := obs.L("kind", kindLabel(k))
 		reg.Gauge(MetricTimeslotMax, "Largest assigned time-slot.", lbl).Set(int64(a.Max(k)))
 		bound := a.BoundL()

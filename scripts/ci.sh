@@ -80,6 +80,9 @@ go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 5s ./internal/netio/frame
 go test -run '^$' -fuzz '^FuzzRecordingDecode$' -fuzztime 5s ./internal/flight
 go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 5s ./internal/radio
 go test -run '^$' -fuzz '^FuzzScenarioParse$' -fuzztime 5s ./internal/scenario
+go test -run '^$' -fuzz '^FuzzTreeOps$' -fuzztime 5s ./internal/graph
+go test -run '^$' -fuzz '^FuzzUpdateTimeSlot$' -fuzztime 5s ./internal/timeslot
+go test -run '^$' -fuzz '^FuzzChurn$' -fuzztime 5s ./internal/cnet
 # The go tool ignores testdata, so the lint fixtures only compile through
 # the lint loader: run the loader test explicitly so fixtures can't bit-rot.
 go test -run '^TestFixturesLoad$' -count=1 ./internal/lint
